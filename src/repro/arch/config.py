@@ -58,7 +58,10 @@ class SharingPolicyKind(enum.Enum):
 
 
 class ReplacementKind(enum.Enum):
-    """Within-set replacement order for every TLB level."""
+    """Within-set replacement order of the L1 TLB (``l1_tlb_replacement``).
+
+    Only the L1 TLB honours it; the shared L2 TLB is always LRU.
+    """
 
     LRU = "lru"
     FIFO = "fifo"
@@ -156,7 +159,7 @@ class GPUConfig:
     compression_kind: CompressionKind = CompressionKind.STRIDE
 
     # --- Translation-mechanism zoo ------------------------------------- #
-    #: within-set replacement order for the TLBs
+    #: within-set replacement order for the L1 TLB (the L2 is always LRU)
     l1_tlb_replacement: ReplacementKind = ReplacementKind.LRU
     #: dead-entry miss protection (arXiv 2606.00486): predict fills whose
     #: entry will die unused and bypass them instead of evicting a live one

@@ -2,11 +2,7 @@
 partitioning/sharing."""
 
 from .factory import build_l1_tlb, build_sharing_register
-from .partitioned_tlb import (
-    CompressedPartitionedL1TLB,
-    PartitionedL1TLB,
-    TBIDIndexPolicy,
-)
+from .partitioned_tlb import TBIDIndexPolicy
 from .set_sharing import (
     AllToAllSharingRegister,
     CounterSharingRegister,
@@ -22,9 +18,7 @@ from .tb_scheduler import (
 
 __all__ = [
     "AllToAllSharingRegister",
-    "CompressedPartitionedL1TLB",
     "CounterSharingRegister",
-    "PartitionedL1TLB",
     "RoundRobinScheduler",
     "SharingRegister",
     "TBIDIndexPolicy",

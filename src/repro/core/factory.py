@@ -8,12 +8,13 @@ from typing import Optional
 from ..arch.config import CompressionKind, GPUConfig, L1TLBMode, SharingPolicyKind
 from ..engine.stats import StatGroup
 from ..translation.compression import CompressedTLB, ContiguityTLB
-from ..translation.tlb import DeadEntryFilter, SetAssociativeTLB
-from .partitioned_tlb import (
-    CompressedPartitionedL1TLB,
-    ContiguityPartitionedL1TLB,
-    PartitionedL1TLB,
+from ..translation.tlb import (
+    DeadEntryFilter,
+    IndexPolicy,
+    SetAssociativeTLB,
+    VPNIndexPolicy,
 )
+from .partitioned_tlb import TBIDIndexPolicy
 from .set_sharing import (
     AllToAllSharingRegister,
     CounterSharingRegister,
@@ -33,78 +34,59 @@ def build_sharing_register(config: GPUConfig) -> SharingRegister:
     raise ValueError(f"unknown sharing policy {config.sharing_policy!r}")
 
 
+def _l1_policy(config: GPUConfig, granularity: int = 1) -> IndexPolicy:
+    """The L1 index policy: VPN bits, or TB ids (with the configured
+    sharing register under ``PARTITIONED_SHARING``)."""
+    mode = config.l1_tlb_mode
+    num_sets = config.l1_tlb_entries // config.l1_tlb_assoc
+    if mode is L1TLBMode.BASELINE:
+        return VPNIndexPolicy(num_sets, granularity=granularity)
+    if mode is L1TLBMode.PARTITIONED:
+        return TBIDIndexPolicy(num_sets, granularity=granularity)
+    if mode is L1TLBMode.PARTITIONED_SHARING:
+        return TBIDIndexPolicy(
+            num_sets,
+            sharing=build_sharing_register(config),
+            granularity=granularity,
+        )
+    raise ValueError(f"unknown L1 TLB mode {mode!r}")
+
+
 def build_l1_tlb(
     config: GPUConfig, stats: Optional[StatGroup] = None, name: str = "l1_tlb"
 ) -> SetAssociativeTLB:
-    """Construct one SM's L1 TLB for the configured mode.
+    """Construct one SM's L1 TLB from its parts.
 
-    The corners: baseline / partitioned(+sharing), each optionally with
-    a large-reach entry format (stride ranges or subregion-contiguity
-    bitmaps) layered on the storage, an optional dead-entry filter
-    attached on top, and the configured replacement order throughout.
+    The entry format picks the class (per-page, stride ranges or
+    subregion-contiguity bitmaps); the index policy and the replacement
+    order are constructor arguments; a dead-entry filter is attached on
+    top.  Large-reach formats group ``compression_max_ratio`` VPNs per
+    set so coalescible pages share one.
     """
-    mode = config.l1_tlb_mode
-    replacement = config.l1_tlb_replacement.value
-    sharing = None
-    if mode is L1TLBMode.PARTITIONED_SHARING:
-        sharing = build_sharing_register(config)
-    tlb: SetAssociativeTLB
-    if mode is L1TLBMode.BASELINE:
-        if config.l1_tlb_compression:
-            cls = (
-                ContiguityTLB
-                if config.compression_kind is CompressionKind.CONTIGUITY
-                else CompressedTLB
-            )
-            tlb = cls(
-                config.l1_tlb_entries,
-                config.l1_tlb_assoc,
-                config.l1_tlb_latency,
-                max_ratio=config.compression_max_ratio,
-                decompression_latency=config.compression_latency,
-                stats=stats,
-                name=name,
-                replacement=replacement,
-            )
-        else:
-            tlb = SetAssociativeTLB(
-                config.l1_tlb_entries,
-                config.l1_tlb_assoc,
-                config.l1_tlb_latency,
-                stats=stats,
-                name=name,
-                replacement=replacement,
-            )
-    elif mode in (L1TLBMode.PARTITIONED, L1TLBMode.PARTITIONED_SHARING):
-        if config.l1_tlb_compression:
-            part_cls = (
-                ContiguityPartitionedL1TLB
-                if config.compression_kind is CompressionKind.CONTIGUITY
-                else CompressedPartitionedL1TLB
-            )
-            tlb = part_cls(
-                config.l1_tlb_entries,
-                config.l1_tlb_assoc,
-                config.l1_tlb_latency,
-                max_ratio=config.compression_max_ratio,
-                decompression_latency=config.compression_latency,
-                sharing=sharing,
-                stats=stats,
-                name=name,
-                replacement=replacement,
-            )
-        else:
-            tlb = PartitionedL1TLB(
-                config.l1_tlb_entries,
-                config.l1_tlb_assoc,
-                config.l1_tlb_latency,
-                sharing=sharing,
-                stats=stats,
-                name=name,
-                replacement=replacement,
-            )
-    else:
-        raise ValueError(f"unknown L1 TLB mode {mode!r}")
+    cls = SetAssociativeTLB
+    granularity = 1
+    format_args = {}
+    if config.l1_tlb_compression:
+        cls = (
+            ContiguityTLB
+            if config.compression_kind is CompressionKind.CONTIGUITY
+            else CompressedTLB
+        )
+        granularity = config.compression_max_ratio
+        format_args = dict(
+            max_ratio=config.compression_max_ratio,
+            decompression_latency=config.compression_latency,
+        )
+    tlb = cls(
+        config.l1_tlb_entries,
+        config.l1_tlb_assoc,
+        config.l1_tlb_latency,
+        policy=_l1_policy(config, granularity),
+        stats=stats,
+        name=name,
+        replacement=config.l1_tlb_replacement.value,
+        **format_args,
+    )
     if config.l1_tlb_dead_entry:
         # GPUConfig.__post_init__ already refused dead-entry + compression,
         # so the filter only ever sees per-page storage.

@@ -45,10 +45,19 @@ class SharingRegister:
         """The adjacent TB whose sets ``tb_id`` may share."""
         return (tb_id + 1) % self.occupancy
 
-    # -- spill/lookup protocol used by the partitioned TLB -------------- #
+    # -- spill/lookup protocol used by the TLB's eviction path ---------- #
+    def spill_targets(self, tb_id: int, occupancy: int) -> List[int]:
+        """TBs whose sets may take an entry evicted by ``tb_id``, in
+        order; ``occupancy`` is the index policy's resident-TB count."""
+        return [self.neighbor(tb_id)]
+
     def record_spill(self, tb_id: int) -> None:
         """An eviction from ``tb_id`` spilled into the neighbour's sets."""
         self._flags[tb_id] = True
+
+    def record_spill_to(self, tb_id: int, target_tb: int) -> None:
+        """An eviction from ``tb_id`` spilled into ``target_tb``'s sets."""
+        self.record_spill(tb_id)
 
     def partners(self, tb_id: int) -> List[int]:
         """TB ids whose sets a lookup from ``tb_id`` must also probe."""
@@ -116,6 +125,9 @@ class AllToAllSharingRegister(SharingRegister):
     def __init__(self, capacity: int = 16) -> None:
         super().__init__(capacity)
         self._partners: List[Set[int]] = [set() for _ in range(capacity)]
+
+    def spill_targets(self, tb_id: int, occupancy: int) -> List[int]:
+        return [t for t in range(min(occupancy, self.capacity)) if t != tb_id]
 
     def record_spill_to(self, tb_id: int, target_tb: int) -> None:
         self._partners[tb_id].add(target_tb)

@@ -35,7 +35,12 @@ from ..arch.config import GPUConfig
 from ..arch.gpu import RunResult
 from ..arch.kernel import Kernel
 from ..engine.checkpoint import CheckpointStore
-from ..engine.errors import CheckpointError, SimulationError, classify
+from ..engine.errors import (
+    CheckpointError,
+    ConfigError,
+    SimulationError,
+    classify,
+)
 from ..engine.faults import FaultPlan
 from ..engine.supervision import (
     CellFailure,
@@ -106,6 +111,9 @@ class ExperimentRunner:
         self._started = time.monotonic()
         self._trace_parts: List[Tuple[str, str]] = []
         self._config_hashes: Dict[str, str] = {}
+        #: config hash behind every memo key: a second config under a
+        #: used (benchmark, tag) must not get the first one's result
+        self._key_hashes: Dict[CellKey, str] = {}
         #: config hashes recorded by the manifest of a resumed checkpoint;
         #: run_config refuses any tag whose current hash differs
         self._resumed_hashes: Dict[str, str] = {}
@@ -264,7 +272,8 @@ class ExperimentRunner:
     ) -> Tuple[CellSpec, Optional[str]]:
         """Validate the config against any resumed manifest and build the
         :class:`CellSpec` (plus per-cell trace part path) for one cell."""
-        current_hash = self._config_hashes.setdefault(tag, config_hash(config))
+        digest = config_hash(config)
+        current_hash = self._config_hashes.setdefault(tag, digest)
         resumed = self._resumed_hashes.get(tag)
         if resumed is not None and resumed != current_hash:
             raise CheckpointError(
@@ -296,6 +305,13 @@ class ExperimentRunner:
             telemetry=telemetry,
             sanitize=self.sanitize,
         )
+        recorded = self._key_hashes.setdefault(spec.key, digest)
+        if recorded != digest:
+            raise ConfigError(
+                f"benchmark {benchmark!r} under tag {tag!r} was already run "
+                f"with config {recorded}; this config hashes to {digest} — "
+                f"give it its own tag"
+            )
         return spec, cell_trace
 
     def record_config_hash(self, tag: str, hash_: str) -> None:

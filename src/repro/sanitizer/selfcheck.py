@@ -96,13 +96,13 @@ def suite_tlb_sharing(scale: str, seed: int) -> CheckOutcome:
     identical for any access stream.  ``scale`` is unused (component
     level); kept for the uniform suite signature.
     """
-    from ..core.partitioned_tlb import PartitionedL1TLB
+    from ..core.partitioned_tlb import TBIDIndexPolicy
     from ..translation.tlb import SetAssociativeTLB
 
     rng = Random(seed)
     shared = SetAssociativeTLB(64, 4, 1.0, name="shared_ref")
-    partitioned = PartitionedL1TLB(
-        64, 4, 1.0, sharing=None, occupancy=1, name="part_occ1"
+    partitioned = SetAssociativeTLB(
+        64, 4, 1.0, policy=TBIDIndexPolicy(16, occupancy=1), name="part_occ1"
     )
     for step in range(20_000):
         roll = rng.random()

@@ -199,7 +199,7 @@ def _register_checkers(
     san.register(TLBChecker(l2_tlb, registry=sim.stats))
     for sm in sms:
         san.register(TLBChecker(sm.l1_tlb, registry=sim.stats))
-        if hasattr(sm.l1_tlb.policy, "sets_for"):
+        if sm.l1_tlb.policy.tb_indexed:
             # TB-id-partitioned TLB (with or without a sharing register)
             san.register(PartitionChecker(sm.l1_tlb))
         if sm.l1_tlb.dead_filter is not None:

@@ -30,7 +30,6 @@ from .tenant import (
     parse_partition_mode,
     vpn_tag_shift,
 )
-from .tlbs import TenantSubEntryTLB, TenantTaggedTLB
 
 __all__ = [
     "ADDRESS_SPACE_BITS",
@@ -44,8 +43,6 @@ __all__ = [
     "Tenant",
     "TenantAffinityMemory",
     "TenantMetrics",
-    "TenantSubEntryTLB",
-    "TenantTaggedTLB",
     "build_tenant_gpu",
     "compose_tenants",
     "expand_mix",

@@ -8,8 +8,8 @@ mode demands them:
 component                 exclusive              shared-tlb / sub-entry
 ========================  =====================  =====================
 TB scheduler              per-tenant SM slices   one shared policy
-L1 TLB                    stock (slice-private)  ASID-tagged / sub-entry
-L2 TLB                    tenant-sliced sets*    ASID-tagged / sub-entry
+L1 TLB                    stock (slice-private)  page / sub-entry format
+L2 TLB                    tenant-sliced sets*    page / sub-entry format
 memory partitions         NPS-style affinity*    line interleave
 page tables               private per tenant     private per tenant
 ========================  =====================  =====================
@@ -18,6 +18,12 @@ page tables               private per tenant     private per tenant
 one-tenant exclusive machine is assembled from exactly the same classes
 as :func:`repro.system.build_gpu`, which is what makes its results
 bit-identical to the single-tenant path.)
+
+The shared modes' TLBs are stock VPN-indexed LRU TLBs (ASID-tagged
+page entries, or :class:`~repro.translation.tlb.SubEntrySharedTLB`)
+with a :class:`~repro.translation.tlb.TenantAccounting` attached.  They
+replace the configured L1 mechanism, so those modes refuse a config
+whose L1 TLB differs from the baseline's rather than drop it silently.
 
 :class:`MultiTenantGPU` extends the dispatch loop to round-robin across
 tenants' pending TB queues, asking the tenant-aware scheduler for a
@@ -44,7 +50,7 @@ from ..memory.subsystem import SMMemoryPath
 from ..telemetry.tracer import CAT_KERNEL
 from ..translation.pagesize import geometry_for
 from ..translation.service import SharedTranslationService
-from ..translation.tlb import SetAssociativeTLB
+from ..translation.tlb import SetAssociativeTLB, SubEntrySharedTLB, TenantAccounting
 from ..translation.uvm import UVMManager
 from ..translation.walker import WalkerPool
 from .compose import compose_tenants
@@ -56,9 +62,9 @@ from .tenant import (
     PartitionMode,
     TenancySpec,
     Tenant,
+    check_shared_mode_config,
     vpn_tag_shift,
 )
-from .tlbs import TenantSubEntryTLB, TenantTaggedTLB
 
 
 class _ComposedKernel:
@@ -222,18 +228,18 @@ class MultiTenantGPU(GPU):
             )
         hits = accesses = 0
         for sm in self.sms:
-            tlb = sm.l1_tlb
-            if hasattr(tlb, "tenant_hits"):
-                hits += tlb.tenant_hits[tid]
-                accesses += tlb.tenant_accesses[tid]
+            acct = sm.l1_tlb.accounting
+            if acct is not None:
+                hits += acct.hits[tid]
+                accesses += acct.accesses[tid]
         return hits, accesses
 
     def cross_tenant_evictions(self) -> int:
         """Total cross-tenant displacements across every shared TLB."""
         total = 0
         for tlb in [self.l2_tlb] + [sm.l1_tlb for sm in self.sms]:
-            if hasattr(tlb, "cross_tenant_evictions"):
-                total += tlb.cross_tenant_evictions
+            if tlb.accounting is not None:
+                total += tlb.accounting.cross_tenant_evictions
         return total
 
     def _split_metrics(self, combined: RunResult) -> TenancyResult:
@@ -294,6 +300,31 @@ class _AnyPending:
         return any(self._queues)
 
 
+def _shared_tlb(
+    mode: PartitionMode,
+    num_entries: int,
+    associativity: int,
+    latency: float,
+    tag_shift: int,
+    num_tenants: int,
+    stats,
+    name: str,
+) -> SetAssociativeTLB:
+    """A shared-mode TLB: the mode's entry format (ASID-tagged pages or
+    per-ASID sub-entries) with tenant accounting attached."""
+    if mode is PartitionMode.SUB_ENTRY:
+        tlb = SubEntrySharedTLB(
+            num_entries, associativity, latency, tag_shift,
+            stats=stats, name=name,
+        )
+    else:
+        tlb = SetAssociativeTLB(
+            num_entries, associativity, latency, stats=stats, name=name
+        )
+    tlb.attach_accounting(TenantAccounting(num_tenants, tag_shift, stats=tlb.stats))
+    return tlb
+
+
 def build_tenant_gpu(
     spec: TenancySpec,
     config: GPUConfig,
@@ -307,6 +338,7 @@ def build_tenant_gpu(
     inject hand-built kernels); by default the spec's mix is composed
     through the workload registry.
     """
+    check_shared_mode_config(spec.mode, config)
     if sim is None:
         sim = Simulator()
     if tenants is None:
@@ -351,15 +383,11 @@ def build_tenant_gpu(
 
     # Shared L2 TLB, per partition mode.
     l2_sets = config.l2_tlb_entries // config.l2_tlb_assoc
-    if mode is PartitionMode.SHARED_TLB:
-        l2_tlb = TenantTaggedTLB(
-            config.l2_tlb_entries, config.l2_tlb_assoc, config.l2_tlb_latency,
-            v_shift, n, stats=sim.stats.group("l2_tlb"), name="l2_tlb",
-        )
-    elif mode is PartitionMode.SUB_ENTRY:
-        l2_tlb = TenantSubEntryTLB(
-            config.l2_tlb_entries, config.l2_tlb_assoc, config.l2_tlb_latency,
-            v_shift, n, stats=sim.stats.group("l2_tlb"), name="l2_tlb",
+    if mode is not PartitionMode.EXCLUSIVE:
+        l2_tlb = _shared_tlb(
+            mode, config.l2_tlb_entries, config.l2_tlb_assoc,
+            config.l2_tlb_latency, v_shift, n,
+            stats=sim.stats.group("l2_tlb"), name="l2_tlb",
         )
     elif n > 1:
         l2_tlb = SetAssociativeTLB(
@@ -411,24 +439,14 @@ def build_tenant_gpu(
     # Per-SM private structures.
     sms = []
     for sm_id in range(config.num_sms):
-        if mode is PartitionMode.SHARED_TLB:
-            l1_tlb = TenantTaggedTLB(
-                config.l1_tlb_entries, config.l1_tlb_assoc,
-                config.l1_tlb_latency, v_shift, n,
-                stats=sim.stats.group(f"sm{sm_id}_l1tlb"),
-                name=f"sm{sm_id}_l1tlb",
-            )
-        elif mode is PartitionMode.SUB_ENTRY:
-            l1_tlb = TenantSubEntryTLB(
-                config.l1_tlb_entries, config.l1_tlb_assoc,
-                config.l1_tlb_latency, v_shift, n,
-                stats=sim.stats.group(f"sm{sm_id}_l1tlb"),
-                name=f"sm{sm_id}_l1tlb",
-            )
+        stats = sim.stats.group(f"sm{sm_id}_l1tlb")
+        if mode is PartitionMode.EXCLUSIVE:
+            l1_tlb = build_l1_tlb(config, stats=stats, name=f"sm{sm_id}_l1tlb")
         else:
-            l1_tlb = build_l1_tlb(
-                config, stats=sim.stats.group(f"sm{sm_id}_l1tlb"),
-                name=f"sm{sm_id}_l1tlb",
+            l1_tlb = _shared_tlb(
+                mode, config.l1_tlb_entries, config.l1_tlb_assoc,
+                config.l1_tlb_latency, v_shift, n,
+                stats=stats, name=f"sm{sm_id}_l1tlb",
             )
         if tracer.enabled:
             l1_tlb.bind_tracer(tracer, clock, tracer.track(f"SM{sm_id} L1 TLB"))

@@ -27,6 +27,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..arch.config import BASELINE_CONFIG, GPUConfig
 from ..arch.kernel import Kernel
 from ..engine.errors import ConfigError
 from ..translation.uvm import UVMManager
@@ -77,6 +78,39 @@ def parse_partition_mode(name: str) -> PartitionMode:
         raise ConfigError(
             f"unknown partition mode {name!r}; choose from {PARTITION_MODES}"
         ) from None
+
+
+#: L1 TLB fields the shared modes' own TLBs cannot honour
+_SHARED_MODE_L1_FIELDS = (
+    "l1_tlb_mode",
+    "l1_tlb_compression",
+    "l1_tlb_dead_entry",
+    "l1_tlb_replacement",
+)
+
+
+def check_shared_mode_config(mode: PartitionMode, config: GPUConfig) -> None:
+    """Refuse an L1 TLB mechanism a shared partition mode would drop.
+
+    ``shared-tlb`` and ``sub-entry`` build their own tenant-shared L1
+    TLBs, so a config that asks for partitioning, compression, dead-entry
+    protection or another replacement order would otherwise run (and be
+    reported) under its name without any of it.
+    """
+    if mode is PartitionMode.EXCLUSIVE:
+        return
+    changed = [
+        name
+        for name in _SHARED_MODE_L1_FIELDS
+        if getattr(config, name) != getattr(BASELINE_CONFIG, name)
+    ]
+    if changed:
+        raise ConfigError(
+            f"partition mode {mode.value!r} builds its own shared L1 TLB "
+            f"and cannot honour {', '.join(changed)}; use a config with "
+            f"the baseline L1 TLB or --partition-mode exclusive",
+            field=changed[0],
+        )
 
 
 @dataclass

@@ -31,6 +31,8 @@ from .tlb import (
     DeadEntryFilter,
     IndexPolicy,
     SetAssociativeTLB,
+    SubEntrySharedTLB,
+    TenantAccounting,
     TLBProbeResult,
     VPNIndexPolicy,
 )
@@ -59,7 +61,9 @@ __all__ = [
     "PageTable",
     "SetAssociativeTLB",
     "SharedTranslationService",
+    "SubEntrySharedTLB",
     "TLBProbeResult",
+    "TenantAccounting",
     "UVMManager",
     "VPNIndexPolicy",
     "WalkOutcome",

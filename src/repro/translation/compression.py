@@ -15,7 +15,8 @@ introduce latencies on the execution critical path...").
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from collections import OrderedDict
+from typing import Optional, Tuple
 
 from ..engine.stats import StatGroup
 from .tlb import IndexPolicy, SetAssociativeTLB, VPNIndexPolicy
@@ -52,6 +53,8 @@ class CompressedTLB(SetAssociativeTLB):
         )
         self.max_ratio = max_ratio
         self.decompression_latency = decompression_latency
+
+    def _init_format(self) -> None:
         self._coalesced = self.stats.counter("coalesced")
 
     # ------------------------------------------------------------------ #
@@ -118,16 +121,8 @@ class CompressedTLB(SetAssociativeTLB):
                 return True
         return False
 
-    def _insert_new(
-        self, set_idx: int, vpn: int, ppn: int
-    ) -> Optional[Tuple[int, Any]]:
-        entry_set = self.sets[set_idx]
-        evicted = None
-        if len(entry_set) >= self.associativity:
-            evicted = entry_set.popitem(last=False)
-            self._evictions.inc()
+    def _fill(self, entry_set: OrderedDict, vpn: int, ppn: int) -> None:
         entry_set[vpn] = (ppn, 1)
-        return evicted
 
     def invalidate(self, vpn: int) -> bool:
         found = False
@@ -166,25 +161,6 @@ class ContiguityTLB(CompressedTLB):
     exactly the stride format's single-page behavior: region base is the
     VPN, the anchor is the PPN, and the bitmap is always ``0b1``.
     """
-
-    def __init__(
-        self,
-        num_entries: int,
-        associativity: int,
-        lookup_latency: float,
-        max_ratio: int = 8,
-        decompression_latency: float = 1.0,
-        policy: Optional[IndexPolicy] = None,
-        stats: Optional[StatGroup] = None,
-        name: str = "contlb",
-        replacement: str = "lru",
-    ) -> None:
-        super().__init__(
-            num_entries, associativity, lookup_latency,
-            max_ratio=max_ratio,
-            decompression_latency=decompression_latency,
-            policy=policy, stats=stats, name=name, replacement=replacement,
-        )
 
     def _split(self, vpn: int) -> Tuple[int, int]:
         """``vpn -> (region_base_vpn, offset within region)``."""
@@ -232,17 +208,9 @@ class ContiguityTLB(CompressedTLB):
             entry_set.move_to_end(base)
         return True
 
-    def _insert_new(
-        self, set_idx: int, vpn: int, ppn: int
-    ) -> Optional[Tuple[int, Any]]:
+    def _fill(self, entry_set: OrderedDict, vpn: int, ppn: int) -> None:
         base, offset = self._split(vpn)
-        entry_set = self.sets[set_idx]
-        evicted = None
-        if len(entry_set) >= self.associativity:
-            evicted = entry_set.popitem(last=False)
-            self._evictions.inc()
         entry_set[base] = (ppn - offset, 1 << offset)
-        return evicted
 
     def invalidate(self, vpn: int) -> bool:
         base, offset = self._split(vpn)

@@ -1,18 +1,24 @@
 """Set-associative TLB models.
 
-The TLB is factored three ways so the paper's mechanisms compose:
+One class, :class:`SetAssociativeTLB`, probes, inserts, evicts and
+spills for every TLB in the model.  What varies is plugged in:
 
 * an :class:`IndexPolicy` decides *which sets* a lookup probes and an
-  insertion targets (baseline: VPN index bits; the paper's TB-id
-  partitioning plugs in here, see :mod:`repro.core.partitioned_tlb`);
-* :class:`SetAssociativeTLB` owns the set storage and LRU replacement,
-  exposing small per-set hooks (``_probe_set``, ``_insert_new``,
-  ``_place_if_free``) that subclasses override;
-* :class:`~repro.translation.compression.CompressedTLB` overrides the
-  per-set hooks to store stride-compressed range entries (the PACT'20
-  comparator of Fig 12) — orthogonal to the index policy, so
-  "our approach + compression" is just the TB-id policy on the
-  compressed storage.
+  insertion targets (baseline: VPN index bits).  The paper's TB-id
+  partitioning is :class:`~repro.core.partitioned_tlb.TBIDIndexPolicy`;
+  it carries the set-sharing register, and the TLB's eviction path
+  spills through it (paper §IV-B);
+* attachable observers: a :class:`DeadEntryFilter` (fill bypass) and a
+  :class:`TenantAccounting` (per-ASID tallies for the shared tenancy
+  modes);
+* the *entry format*, the only subclass axis.  The small per-set hooks
+  (``_probe_set``, ``_refresh``, ``_fill``, ...) are overridden by
+  :class:`~repro.translation.compression.CompressedTLB` (stride ranges,
+  the PACT'20 comparator of Fig 12),
+  :class:`~repro.translation.compression.ContiguityTLB` (subregion
+  bitmaps) and :class:`SubEntrySharedTLB` (per-ASID sub-entries).
+  Format and policy are orthogonal, so "our approach + compression" is
+  the TB-id policy on the compressed storage.
 
 Timing note: a lookup that probes ``k`` sets costs ``k`` times the base
 lookup latency (paper §IV-B: without extra comparators each additional
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from ..engine.stats import StatGroup
 from ..telemetry.tracer import CAT_TLB
@@ -41,6 +47,17 @@ class TLBProbeResult:
 
 class IndexPolicy:
     """Maps a (vpn, tb_id) lookup/insert to TLB set indices."""
+
+    #: sharing register the TLB's eviction path spills through; only
+    #: TB-id partitioning supplies one
+    sharing: Optional[Any] = None
+    #: hardware TB ids own the sets: the TLB keeps ``sharing_spill*``
+    #: counters and the sanitizer checks the TB -> set map
+    tb_indexed = False
+
+    def configure_occupancy(self, occupancy: int) -> None:
+        """Re-map for a kernel's concurrent-TB count (VPN indexing
+        ignores it)."""
 
     def lookup_sets(self, vpn: int, tb_id: Optional[int]) -> Sequence[int]:
         """Sets that must be probed to find ``vpn``, in probe order."""
@@ -113,10 +130,11 @@ class MaskedVPNIndexPolicy(VPNIndexPolicy):
 
 
 class SetAssociativeTLB:
-    """LRU set-associative TLB storage with a pluggable index policy.
+    """Set-associative TLB with a pluggable index policy (page format).
 
     Entries map VPN -> PPN.  Each set is an ``OrderedDict`` in LRU order
-    (least recently used first).
+    (least recently used first); FIFO replacement keeps insertion order.
+    Subclasses change only the entry format, through the per-set hooks.
     """
 
     def __init__(
@@ -149,6 +167,10 @@ class SetAssociativeTLB:
         self._misses = self.stats.counter("misses")
         self._evictions = self.stats.counter("evictions")
         self._sets_probed = self.stats.counter("sets_probed")
+        self._init_format()
+        if self.policy.tb_indexed:
+            self._spills = self.stats.counter("sharing_spills")
+            self._spill_attempts = self.stats.counter("sharing_spill_attempts")
         # telemetry (see bind_tracer); None keeps the hot path to a
         # single attribute check per probe/insert
         self._tracer = None
@@ -160,14 +182,22 @@ class SetAssociativeTLB:
         self._refresh_lru = replacement == "lru"
         #: optional dead-entry miss-protection filter (see attach_dead_filter)
         self.dead_filter: Optional["DeadEntryFilter"] = None
+        #: optional per-tenant tallies (see attach_accounting)
+        self.accounting: Optional["TenantAccounting"] = None
         # probe() may inline the per-set dict operations only when the
-        # storage hooks are not overridden (the compressed TLB replaces
-        # them); resolved once here instead of per probe
+        # storage hooks are not overridden (the other entry formats
+        # replace them); resolved once here instead of per probe
         self._plain_storage = type(self)._probe_set is SetAssociativeTLB._probe_set
-        # the inlined fast path hard-codes LRU promotion and no filter
-        # callbacks; FIFO and dead-entry runs take the general loop
+        # the inlined fast path hard-codes LRU promotion and no observer
+        # callbacks; FIFO and observed runs take the general loop
         self._fast_probe = self._plain_storage and self._refresh_lru
         self._lookup_sets = self.policy.lookup_sets
+
+    @property
+    def sharing(self):
+        """The index policy's set-sharing register (``None`` unless TB-id
+        partitioned with sharing)."""
+        return self.policy.sharing
 
     # ------------------------------------------------------------------ #
     # Telemetry
@@ -188,7 +218,7 @@ class SetAssociativeTLB:
         self._track = track
 
     # ------------------------------------------------------------------ #
-    # Dead-entry miss protection
+    # Attachable observers
     # ------------------------------------------------------------------ #
     def attach_dead_filter(self, filt: "DeadEntryFilter") -> None:
         """Attach a dead-entry predictor; probes then notify it on hits.
@@ -199,9 +229,37 @@ class SetAssociativeTLB:
         self.dead_filter = filt
         self._fast_probe = False
 
+    def attach_accounting(self, accounting: "TenantAccounting") -> None:
+        """Attach per-tenant accounting; like the dead filter, it
+        disables the inlined probe fast path."""
+        self.accounting = accounting
+        self._fast_probe = False
+
     # ------------------------------------------------------------------ #
-    # Per-set storage hooks (overridden by the compressed TLB)
+    # Kernel / TB lifecycle (the SM calls these for every TLB)
     # ------------------------------------------------------------------ #
+    def configure_occupancy(self, occupancy: int) -> None:
+        """Prepare for a kernel with ``occupancy`` concurrent TBs: the
+        policy re-maps TB ids to sets and the sharing adjacency wraps at
+        the new count.  A no-op under VPN indexing."""
+        occupancy = max(1, occupancy)
+        self.policy.configure_occupancy(occupancy)
+        sharing = self.policy.sharing
+        if sharing is not None:
+            sharing.configure_occupancy(min(occupancy, sharing.capacity))
+
+    def on_tb_finished(self, tb_id: int) -> None:
+        """TB finished: reset sharing flags; entries are *not* flushed."""
+        sharing = self.policy.sharing
+        if sharing is not None:
+            sharing.on_tb_finished(tb_id)
+
+    # ------------------------------------------------------------------ #
+    # Per-set entry-format hooks (overridden by the other formats)
+    # ------------------------------------------------------------------ #
+    def _init_format(self) -> None:
+        """Register the format's own counters (after the shared ones)."""
+
     def _probe_set(self, set_idx: int, vpn: int) -> Optional[int]:
         """Probe one set; on hit refresh LRU and return the PPN."""
         entry_set = self.sets[set_idx]
@@ -209,6 +267,9 @@ class SetAssociativeTLB:
         if ppn is not None and self._refresh_lru:
             entry_set.move_to_end(vpn)
         return ppn
+
+    def _peek_set(self, set_idx: int, vpn: int) -> bool:
+        return vpn in self.sets[set_idx]
 
     def _refresh(self, set_idx: int, vpn: int, ppn: int) -> bool:
         """If ``vpn`` is already stored in this set, update it in place."""
@@ -220,37 +281,18 @@ class SetAssociativeTLB:
             return True
         return False
 
-    def _insert_new(
-        self, set_idx: int, vpn: int, ppn: int
-    ) -> Optional[Tuple[int, Any]]:
-        """Insert a fresh entry, returning the evicted ``(key, payload)``."""
-        entry_set = self.sets[set_idx]
-        evicted = None
-        if len(entry_set) >= self.associativity:
-            evicted = entry_set.popitem(last=False)
-            self._evictions.inc()
+    def _fill(self, entry_set: OrderedDict, vpn: int, ppn: int) -> None:
+        """Store a fresh entry for ``vpn`` (the set has a free slot)."""
         entry_set[vpn] = ppn
-        return evicted
 
-    def _place_if_free(self, set_idx: int, item: Tuple[int, Any]) -> bool:
-        """Place a raw evicted ``(key, payload)`` item if the set has room.
+    def _evict_lru(self, entry_set: OrderedDict) -> Tuple[int, Any]:
+        """Remove and return the set's replacement victim."""
+        self._evictions.value += 1
+        return entry_set.popitem(last=False)
 
-        Used by the dynamic set-sharing mechanism to spill an evicted
-        entry into the adjacent TB's set (paper §IV-B).
-        """
-        entry_set = self.sets[set_idx]
-        if len(entry_set) >= self.associativity:
-            return False
-        key, payload = item
-        entry_set[key] = payload
-        return True
-
-    def _handle_eviction(
-        self, item: Tuple[int, Any], tb_id: Optional[int]
-    ) -> Optional[int]:
-        """Hook called with an evicted item; return the set it spilled to
-        (or ``None`` if dropped).  Base TLB drops evictions."""
-        return None
+    def _owner_asids(self, item: Tuple[int, Any], tag_shift: int) -> Iterable[int]:
+        """ASIDs whose translations an evicted item held."""
+        return (item[0] >> tag_shift,)
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -277,40 +319,42 @@ class SetAssociativeTLB:
             self._misses.value += 1
             self._sets_probed.value += probed
             return TLBProbeResult(False, None, probed)
+        ppn = None
         for set_idx in self.policy.lookup_sets(vpn, tb_id):
             probed += 1
             ppn = self._probe_set(set_idx, vpn)
             if ppn is not None:
-                # bump the counters in place: Counter.inc is a call per
-                # probe and this is the hottest loop in the model
-                self._hits.value += 1
-                self._sets_probed.value += probed
-                if self.dead_filter is not None:
-                    self.dead_filter.on_hit(vpn)
-                if tracer is not None:
-                    tracer.instant(
-                        CAT_TLB, "hit", self._clock(), self._track,
-                        {"vpn": vpn, "tb": tb_id, "set": set_idx},
-                    )
-                return TLBProbeResult(True, ppn, probed)
-        if probed < 1:
-            probed = 1
-        self._misses.value += 1
+                break
+        hit = ppn is not None
+        # bump the counters in place: Counter.inc is a call per probe
+        if hit:
+            self._hits.value += 1
+            if self.dead_filter is not None:
+                self.dead_filter.on_hit(vpn)
+        else:
+            if probed < 1:
+                probed = 1
+            self._misses.value += 1
         self._sets_probed.value += probed
+        if self.accounting is not None:
+            self.accounting.on_probe(vpn, hit)
         if tracer is not None:
-            tracer.instant(
-                CAT_TLB, "miss", self._clock(), self._track,
-                {"vpn": vpn, "tb": tb_id},
-            )
-        return TLBProbeResult(False, None, probed)
+            if hit:
+                tracer.instant(
+                    CAT_TLB, "hit", self._clock(), self._track,
+                    {"vpn": vpn, "tb": tb_id, "set": set_idx},
+                )
+            else:
+                tracer.instant(
+                    CAT_TLB, "miss", self._clock(), self._track,
+                    {"vpn": vpn, "tb": tb_id},
+                )
+        return TLBProbeResult(hit, ppn, probed)
 
     def contains(self, vpn: int, tb_id: Optional[int] = None) -> bool:
         """Non-destructive presence check (no LRU update, no stats)."""
         sets = self.policy.lookup_sets(vpn, tb_id)
         return any(self._peek_set(s, vpn) for s in sets)
-
-    def _peek_set(self, set_idx: int, vpn: int) -> bool:
-        return vpn in self.sets[set_idx]
 
     def probe_latency(self, sets_probed: int) -> float:
         """Latency of a lookup that serialized over ``sets_probed`` sets."""
@@ -320,12 +364,12 @@ class SetAssociativeTLB:
     # Insertion
     # ------------------------------------------------------------------ #
     def insert(self, vpn: int, ppn: int, tb_id: Optional[int] = None) -> Optional[int]:
-        """Insert a translation; returns the evicted VPN key, if any.
+        """Insert a translation; returns the evicted entry's key, if any.
 
         If the translation is already present in a candidate set it is
         refreshed in place.  Otherwise it goes to the first candidate set,
         evicting that set's LRU entry when full; the evicted entry is
-        offered to :meth:`_handle_eviction` (set sharing hooks in there).
+        offered to the sharing partners' sets (:meth:`_spill`).
         """
         candidates = self.policy.insert_sets(vpn, tb_id)
         for set_idx in candidates:
@@ -336,12 +380,19 @@ class SetAssociativeTLB:
             # predicted dead: skip the fill entirely so a live entry is
             # never displaced for it (arXiv 2606.00486)
             return None
-        evicted = self._insert_new(candidates[0], vpn, ppn)
+        entry_set = self.sets[candidates[0]]
+        evicted = None
+        if len(entry_set) >= self.associativity:
+            evicted = self._evict_lru(entry_set)
+        self._fill(entry_set, vpn, ppn)
         if df is not None:
             df.on_fill(vpn)
         if evicted is None:
             return None
-        spilled_to = self._handle_eviction(evicted, tb_id)
+        acct = self.accounting
+        if acct is not None:
+            acct.on_evict(vpn, self._owner_asids(evicted, acct.tag_shift))
+        spilled_to = self._spill(evicted, tb_id)
         if df is not None and spilled_to is None:
             # spilled entries stay resident, so only a true drop can
             # prove the victim's fill was dead
@@ -353,6 +404,28 @@ class SetAssociativeTLB:
                 {"vpn": evicted[0], "tb": tb_id, "spilled_to": spilled_to},
             )
         return evicted[0]
+
+    def _spill(self, item: Tuple[int, Any], tb_id: Optional[int]) -> Optional[int]:
+        """Dynamic set sharing (paper §IV-B): place an evicted item in a
+        free slot of a sharing partner's sets.  Returns the set it landed
+        in, or ``None`` when it was dropped."""
+        policy = self.policy
+        sharing = policy.sharing
+        if sharing is None or tb_id is None:
+            return None
+        self._spill_attempts.value += 1
+        for target_tb in sharing.spill_targets(tb_id, policy.occupancy):
+            if target_tb == tb_id:
+                continue
+            for set_idx in policy.sets_for(target_tb):
+                entry_set = self.sets[set_idx]
+                if len(entry_set) < self.associativity:
+                    key, payload = item
+                    entry_set[key] = payload
+                    sharing.record_spill_to(tb_id, target_tb)
+                    self._spills.value += 1
+                    return set_idx
+        return None
 
     def invalidate(self, vpn: int) -> bool:
         """Remove ``vpn`` from every set; returns True if it was present."""
@@ -442,6 +515,8 @@ class SubEntrySharedTLB(SetAssociativeTLB):
         )
         self.tag_shift = tag_shift
         self._base_mask = (1 << tag_shift) - 1
+
+    def _init_format(self) -> None:
         self._sub_entry_fills = self.stats.counter("sub_entry_fills")
         self._tag_hit_sub_miss = self.stats.counter("tag_hit_sub_miss")
         self._sub_entry_evictions = self.stats.counter("sub_entry_evictions")
@@ -481,27 +556,16 @@ class SubEntrySharedTLB(SetAssociativeTLB):
             entry_set.move_to_end(base)
         return True
 
-    def _insert_new(
-        self, set_idx: int, vpn: int, ppn: int
-    ) -> Optional[Tuple[int, Any]]:
-        asid = vpn >> self.tag_shift
-        base = vpn & self._base_mask
-        entry_set = self.sets[set_idx]
-        evicted = None
-        if len(entry_set) >= self.associativity:
-            evicted = entry_set.popitem(last=False)
-            self._evictions.inc()
-            self._sub_entry_evictions.value += len(evicted[1])
-        entry_set[base] = {asid: ppn}
-        return evicted
+    def _fill(self, entry_set: OrderedDict, vpn: int, ppn: int) -> None:
+        entry_set[vpn & self._base_mask] = {vpn >> self.tag_shift: ppn}
 
-    def _place_if_free(self, set_idx: int, item: Tuple[int, Any]) -> bool:
-        entry_set = self.sets[set_idx]
-        if len(entry_set) >= self.associativity:
-            return False
-        key, payload = item
-        entry_set[key] = payload
-        return True
+    def _evict_lru(self, entry_set: OrderedDict) -> Tuple[int, Any]:
+        item = super()._evict_lru(entry_set)
+        self._sub_entry_evictions.value += len(item[1])
+        return item
+
+    def _owner_asids(self, item: Tuple[int, Any], tag_shift: int) -> Iterable[int]:
+        return item[1]
 
     def _peek_set(self, set_idx: int, vpn: int) -> bool:
         sub = self.sets[set_idx].get(vpn & self._base_mask)
@@ -601,3 +665,46 @@ class DeadEntryFilter:
 
     def streak(self, vpn: int) -> int:
         return self._streak.get(vpn, 0)
+
+
+class TenantAccounting:
+    """Tenant interference accounting for a shared TLB (DESIGN.md §12).
+
+    Attached to the TLBs of the shared tenancy modes, where co-tenants
+    compete for the same storage.  It keeps per-ASID hit/access tallies
+    (how much of a tenant's hit rate survives co-residency) and the
+    ``cross_tenant_evictions`` counter: translations of one tenant
+    displaced by another tenant's fill.  The entry format supplies the
+    owner ASIDs of an evicted item — one for a tagged page entry, one
+    per dropped sub-entry for :class:`SubEntrySharedTLB`.  VPNs carry
+    their ASID at and above ``tag_shift``.
+    """
+
+    def __init__(
+        self,
+        num_tenants: int,
+        tag_shift: int,
+        stats: Optional[StatGroup] = None,
+        name: str = "tenant_accounting",
+    ) -> None:
+        self.num_tenants = num_tenants
+        self.tag_shift = tag_shift
+        self.stats = stats if stats is not None else StatGroup(name)
+        self.hits: List[int] = [0] * num_tenants
+        self.accesses: List[int] = [0] * num_tenants
+        self._cross_evictions = self.stats.counter("cross_tenant_evictions")
+
+    def on_probe(self, vpn: int, hit: bool) -> None:
+        asid = vpn >> self.tag_shift
+        self.accesses[asid] += 1
+        if hit:
+            self.hits[asid] += 1
+
+    def on_evict(self, vpn: int, owners: Iterable[int]) -> None:
+        """``vpn``'s fill evicted translations owned by ``owners``."""
+        asid = vpn >> self.tag_shift
+        self._cross_evictions.value += sum(1 for other in owners if other != asid)
+
+    @property
+    def cross_tenant_evictions(self) -> int:
+        return self._cross_evictions.value

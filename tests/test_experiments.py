@@ -39,6 +39,26 @@ def test_runner_distinguishes_configs(runner):
     assert r1 is not r2
 
 
+def test_runner_refuses_second_config_under_used_tag():
+    """A memo hit must not hand one config's result to another config
+    that reuses its (benchmark, tag)."""
+    from repro.engine.errors import ConfigError
+    from repro.telemetry import config_hash
+
+    runner = ExperimentRunner(scale="micro", benchmarks=("gemm",))
+    first = runner.run_config("gemm", get_config("baseline"), "shared_tag")
+    partition = get_config("partition")
+    with pytest.raises(ConfigError) as excinfo:
+        runner.run_config("gemm", partition, "shared_tag")
+    message = str(excinfo.value)
+    assert "'gemm'" in message and "'shared_tag'" in message
+    assert config_hash(get_config("baseline")) in message
+    assert config_hash(partition) in message
+    assert runner.cells_simulated == 1
+    # the same config under the same tag is still a memo hit
+    assert runner.run_config("gemm", get_config("baseline"), "shared_tag") is first
+
+
 def test_geomean():
     assert geomean([1.0, 4.0]) == pytest.approx(2.0)
     assert geomean([]) == 0.0

@@ -3,16 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.partitioned_tlb import (
-    CompressedPartitionedL1TLB,
-    PartitionedL1TLB,
-    TBIDIndexPolicy,
-)
+from repro.core.partitioned_tlb import TBIDIndexPolicy
 from repro.core.set_sharing import (
     AllToAllSharingRegister,
     CounterSharingRegister,
     SharingRegister,
 )
+from repro.translation.compression import CompressedTLB
+from repro.translation.tlb import SetAssociativeTLB
 
 
 class TestTBIDIndexPolicy:
@@ -54,7 +52,9 @@ class TestTBIDIndexPolicy:
 
 class TestPartitionedL1TLB:
     def make(self, occupancy=16, sharing=None):
-        tlb = PartitionedL1TLB(64, 4, 1.0, sharing=sharing)
+        tlb = SetAssociativeTLB(
+            64, 4, 1.0, policy=TBIDIndexPolicy(16, sharing=sharing)
+        )
         tlb.configure_occupancy(occupancy)
         return tlb
 
@@ -114,7 +114,9 @@ class TestPartitionedL1TLB:
 class TestSetSharing:
     def make_sharing(self):
         sharing = SharingRegister(16)
-        tlb = PartitionedL1TLB(64, 4, 1.0, sharing=sharing)
+        tlb = SetAssociativeTLB(
+            64, 4, 1.0, policy=TBIDIndexPolicy(16, sharing=sharing)
+        )
         tlb.configure_occupancy(16)
         return tlb, sharing
 
@@ -199,7 +201,9 @@ class TestSharingRegisters:
 
 class TestCompressedPartitioned:
     def test_composition_of_partitioning_and_compression(self):
-        tlb = CompressedPartitionedL1TLB(64, 4, 1.0, max_ratio=8)
+        tlb = CompressedTLB(
+            64, 4, 1.0, max_ratio=8, policy=TBIDIndexPolicy(16, granularity=8)
+        )
         tlb.configure_occupancy(16)
         for v in range(8):
             tlb.insert(v, 100 + v, tb_id=0)

@@ -258,11 +258,15 @@ class TestAllToAllSharingUnits:
     """All-to-all-only tags: no shipped config builds that register."""
 
     def make_tlb(self):
-        from repro.core.partitioned_tlb import PartitionedL1TLB
+        from repro.core.partitioned_tlb import TBIDIndexPolicy
         from repro.core.set_sharing import AllToAllSharingRegister
+        from repro.translation.tlb import SetAssociativeTLB
 
-        tlb = PartitionedL1TLB(
-            64, 4, 1.0, sharing=AllToAllSharingRegister(8), occupancy=4
+        tlb = SetAssociativeTLB(
+            64, 4, 1.0,
+            policy=TBIDIndexPolicy(
+                16, sharing=AllToAllSharingRegister(8), occupancy=4
+            ),
         )
         return tlb, PartitionChecker(tlb)
 

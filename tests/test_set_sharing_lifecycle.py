@@ -20,12 +20,13 @@ from random import Random
 
 import pytest
 
-from repro.core.partitioned_tlb import PartitionedL1TLB
+from repro.core.partitioned_tlb import TBIDIndexPolicy
 from repro.core.set_sharing import (
     AllToAllSharingRegister,
     CounterSharingRegister,
     SharingRegister,
 )
+from repro.translation.tlb import SetAssociativeTLB
 
 REGISTERS = [
     pytest.param(lambda: SharingRegister(8), id="one-bit"),
@@ -147,8 +148,8 @@ class TestAllToAllTeardown:
 class TestPartitionedTLBFinishPath:
     def test_tb_finish_resets_flags_but_keeps_entries(self):
         sharing = SharingRegister(4)
-        tlb = PartitionedL1TLB(
-            32, 2, 1.0, sharing=sharing, occupancy=4
+        tlb = SetAssociativeTLB(
+            32, 2, 1.0, policy=TBIDIndexPolicy(16, sharing=sharing, occupancy=4)
         )
         # fill TB 0's sets past capacity so an eviction spills to TB 1
         spilled = False
@@ -166,7 +167,9 @@ class TestPartitionedTLBFinishPath:
 
     def test_spill_targets_only_adjacent_sets(self):
         sharing = SharingRegister(4)
-        tlb = PartitionedL1TLB(32, 2, 1.0, sharing=sharing, occupancy=4)
+        tlb = SetAssociativeTLB(
+            32, 2, 1.0, policy=TBIDIndexPolicy(16, sharing=sharing, occupancy=4)
+        )
         own = {s for tb in (0, 1) for s in tlb.policy.sets_for(tb)}
         for vpn in range(200):
             tlb.insert(vpn, vpn, tb_id=0)

@@ -301,6 +301,42 @@ class TestSurface:
         assert "fairness (Jain)" in out
         assert "gemm" in out and "slowdown" in out
 
+    @pytest.mark.parametrize("mode", ["shared-tlb", "sub-entry"])
+    @pytest.mark.parametrize(
+        "config",
+        ["partition_sharing", "compression", "dead_entry", "contiguity"],
+    )
+    def test_cli_shared_modes_refuse_l1_mechanisms(self, mode, config, capsys):
+        """The shared modes build their own L1 TLB; a config asking for
+        another L1 mechanism is refused before anything runs instead of
+        being reported under its name without it."""
+        from repro.cli import main
+
+        code = main([
+            "run", "bfs", "--scale", "micro", "--tenants", "2",
+            "--partition-mode", mode, "--config", config,
+        ])
+        assert code == 3  # ConfigError exit code
+        captured = capsys.readouterr()
+        assert "configuration" not in captured.out
+        assert "l1_tlb_" in captured.err
+
+    def test_shared_modes_refuse_fifo_replacement(self):
+        from repro.arch.config import ReplacementKind
+        from repro.tenancy.tenant import check_shared_mode_config
+
+        fifo = get_config("baseline").replace(
+            l1_tlb_replacement=ReplacementKind.FIFO
+        )
+        for mode in (PartitionMode.SHARED_TLB, PartitionMode.SUB_ENTRY):
+            with pytest.raises(ConfigError, match="l1_tlb_replacement"):
+                build_tenant_gpu(TenancySpec(("bfs", "gemm"), mode), fifo)
+        # exclusive mode builds the configured L1 TLB, so it accepts both
+        check_shared_mode_config(PartitionMode.EXCLUSIVE, fifo)
+        check_shared_mode_config(
+            PartitionMode.EXCLUSIVE, get_config("partition_sharing")
+        )
+
     def test_cli_rejects_checkpoint_with_tenants(self, capsys):
         from repro.cli import main
 

@@ -9,7 +9,7 @@ hooks show up here first.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.partitioned_tlb import PartitionedL1TLB
+from repro.core.partitioned_tlb import TBIDIndexPolicy
 from repro.translation.compression import CompressedTLB
 from repro.translation.tlb import SetAssociativeTLB
 
@@ -34,7 +34,7 @@ def test_partitioned_with_occupancy_one_matches_baseline(vpns):
     """One TB owning all 16 sets spreads by vpn%16 — exactly the baseline
     indexing — so hit/miss sequences must be identical."""
     baseline = SetAssociativeTLB(64, 4, 1.0)
-    partitioned = PartitionedL1TLB(64, 4, 1.0)
+    partitioned = SetAssociativeTLB(64, 4, 1.0, policy=TBIDIndexPolicy(16))
     partitioned.configure_occupancy(1)
     assert run_stream(baseline, vpns) == run_stream(partitioned, vpns, tb_id=0)
 
@@ -66,12 +66,12 @@ def test_compression_never_reduces_hits(vpns):
 def test_partitioned_occupancy_never_leaks_between_tbs(vpns, occupancy):
     """Whatever the occupancy, a TB never hits on a page only another TB
     inserted (sharing disabled)."""
-    tlb = PartitionedL1TLB(64, 4, 1.0)
+    tlb = SetAssociativeTLB(64, 4, 1.0, policy=TBIDIndexPolicy(16))
     tlb.configure_occupancy(occupancy)
     run_stream(tlb, vpns, tb_id=0)
     other = occupancy  # a TB id in a different slot when occupancy < 16
     if occupancy < 16:
-        fresh = PartitionedL1TLB(64, 4, 1.0)
+        fresh = SetAssociativeTLB(64, 4, 1.0, policy=TBIDIndexPolicy(16))
         fresh.configure_occupancy(occupancy)
         run_stream(fresh, vpns, tb_id=0)
         for vpn in set(vpns):
