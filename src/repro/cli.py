@@ -64,7 +64,7 @@ deterministic faults for testing the degradation path, and
 ``REPRO_FAULT=disk:<layer>:<kind>[:<nth-op>]`` injects *disk* faults
 (``enospc``/``eio``/``fsync``/``torn``/``crash``) into a named
 persistence layer (``journal``/``results``/``checkpoint``/``goldens``/
-``manifest``/``atomic``, or ``*``) through the storage shim;
+``manifest``/``atomic``/``graph``, or ``*``) through the storage shim;
 ``--sanitize[=strict|cheap]`` (or ``REPRO_SANITIZE``) enables runtime
 invariant checking, and ``REPRO_SANITIZE_INJECT=<tag>`` deliberately
 breaks one invariant to prove the checker fires.

@@ -4,9 +4,10 @@ A store is a single append-only JSONL file:
 
 * line 1 — header: ``{"kind": "repro-checkpoint", "version": N,
   "scale": ..., "seed": ...}``;
-* each further line — one completed cell:
-  ``{"key": [...], "crc": <crc32 of canonical result JSON>,
-  "result": {...}}``.
+* each further line — one simulated cell:
+  ``{"key": [...], "config_hash": ..., "crc": <crc32>, "result": {...}}``:
+  the cell's label (benchmark, tag, *flags), the hash of the config it
+  simulated, and the CRC-32 of the canonical JSON of the other three.
 
 Append-only writing makes the store crash-tolerant: a worker SIGKILLed
 mid-append leaves at most one truncated *final* line, which ``load``
@@ -32,16 +33,23 @@ from .storage import Storage, get_storage
 STORAGE_LAYER = "checkpoint"
 
 #: bump when the RunResult wire format or cell-key shape changes
-#: incompatibly (v2: keys grew telemetry fields, results grew timeseries)
-CHECKPOINT_VERSION = 2
+#: incompatibly (v2: keys grew telemetry fields, results grew timeseries;
+#: v3: records carry the config hash, covered by the CRC)
+CHECKPOINT_VERSION = 3
 
 _HEADER_KIND = "repro-checkpoint"
 
 CellKey = Tuple[Any, ...]
 
 
-def _canonical(result: Dict[str, Any]) -> bytes:
-    return json.dumps(result, sort_keys=True, separators=(",", ":")).encode()
+def _record(key: CellKey, config_hash: Optional[str], result: Dict) -> str:
+    fields = {"key": list(key), "config_hash": config_hash, "result": result}
+    return json.dumps(dict(fields, crc=_crc(fields)))
+
+
+def _crc(fields: Dict[str, Any]) -> int:
+    canonical = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    return zlib.crc32(canonical.encode())
 
 
 class CheckpointStore:
@@ -59,6 +67,8 @@ class CheckpointStore:
         self.seed = seed
         self.storage = storage if storage is not None else get_storage()
         self._handle = None
+        #: label -> config hash of every record the last ``load`` read
+        self.config_hashes: Dict[CellKey, Optional[str]] = {}
 
     # ------------------------------------------------------------------ #
     # Reading
@@ -67,8 +77,10 @@ class CheckpointStore:
         return os.path.exists(self.path)
 
     def load(self) -> Dict[CellKey, Dict[str, Any]]:
-        """Read every intact cell record; raise on untrustworthy files."""
+        """Read every intact record as ``{label: result}`` (and each
+        label's :attr:`config_hashes`); raise on untrustworthy files."""
         results: Dict[CellKey, Dict[str, Any]] = {}
+        self.config_hashes = {}
         if not self.exists():
             return results
         # errors="replace": a flipped byte must surface as a corrupt
@@ -84,22 +96,24 @@ class CheckpointStore:
             is_last = i == len(lines)
             try:
                 record = json.loads(line)
+                crc = record.pop("crc")
                 key = tuple(record["key"])
+                config_hash = record["config_hash"]
                 result = record["result"]
-                crc = record["crc"]
-            except (json.JSONDecodeError, KeyError, TypeError):
+            except (json.JSONDecodeError, KeyError, TypeError, AttributeError):
                 if is_last:
                     # torn final append (crash mid-write): drop, re-run cell
                     break
                 raise CheckpointError(
                     f"{self.path}: corrupt record on line {i}"
                 ) from None
-            if zlib.crc32(_canonical(result)) != crc:
+            if _crc(record) != crc:
                 raise CheckpointError(
                     f"{self.path}: checksum mismatch on line {i} "
                     f"(key={list(key)!r})"
                 )
             results[key] = result
+            self.config_hashes[key] = config_hash
         return results
 
     def _check_header(self, line: str) -> None:
@@ -143,28 +157,29 @@ class CheckpointStore:
             os.makedirs(directory, exist_ok=True)
         self._handle = self.storage.open_append(self.path, STORAGE_LAYER)
         if fresh:
-            header = {
-                "kind": _HEADER_KIND,
-                "version": CHECKPOINT_VERSION,
-                "scale": self.scale,
-                "seed": self.seed,
-            }
-            self._write_line(json.dumps(header))
+            self._write_line(self._header())
             self._handle.flush()
 
-    def append(self, key: CellKey, result: Dict[str, Any]) -> None:
-        """Durably record one completed cell (flushed immediately).
+    def _header(self) -> str:
+        return json.dumps({
+            "kind": _HEADER_KIND, "version": CHECKPOINT_VERSION,
+            "scale": self.scale, "seed": self.seed,
+        })
+
+    def append(
+        self,
+        key: CellKey,
+        result: Dict[str, Any],
+        config_hash: Optional[str] = None,
+    ) -> None:
+        """Durably record one simulated cell (flushed immediately).
 
         A storage failure (ENOSPC, failed fsync, torn write) surfaces
         as :class:`CheckpointError` after rolling the file back to its
         pre-append size, so a torn partial line can never corrupt the
         *middle* of the store for the next ``load``.
         """
-        record = {
-            "key": list(key),
-            "crc": zlib.crc32(_canonical(result)),
-            "result": result,
-        }
+        line = _record(key, config_hash, result)
         try:
             self._ensure_open()
         except OSError as exc:
@@ -173,7 +188,7 @@ class CheckpointStore:
             ) from exc
         pre_size = self._handle.tell()
         try:
-            self._write_line(json.dumps(record))
+            self._write_line(line)
             self.storage.fsync_handle(
                 self._handle, STORAGE_LAYER, self.path
             )
@@ -204,23 +219,10 @@ class CheckpointStore:
         from .atomic import atomic_write
 
         results = self.load()
-        header = {
-            "kind": _HEADER_KIND,
-            "version": CHECKPOINT_VERSION,
-            "scale": self.scale,
-            "seed": self.seed,
-        }
-        lines = [json.dumps(header)]
-        for key, result in results.items():
-            lines.append(
-                json.dumps(
-                    {
-                        "key": list(key),
-                        "crc": zlib.crc32(_canonical(result)),
-                        "result": result,
-                    }
-                )
-            )
+        lines = [self._header()] + [
+            _record(key, self.config_hashes[key], result)
+            for key, result in results.items()
+        ]
         atomic_write(
             self.path,
             "\n".join(lines) + "\n",

@@ -3,7 +3,8 @@
 All persistence code — the service WAL (:mod:`repro.service.journal`),
 the content-addressed result cache (:mod:`repro.service.results`), the
 checkpoint store (:mod:`repro.engine.checkpoint`), golden files,
-manifests, and the :func:`~repro.engine.atomic.atomic_write` helper
+manifests, the graph cache (:mod:`repro.workloads.graph`), and the
+:func:`~repro.engine.atomic.atomic_write` helper
 they share — routes its filesystem operations through a
 :class:`Storage` instance.  With no faults configured the shim is a
 pass-through: the same syscalls in the same order, so goldens and
@@ -61,6 +62,7 @@ ANY_LAYER = "*"
 #: shim accepts any tag so a new layer cannot silently bypass matching)
 LAYERS = (
     "journal", "results", "checkpoint", "goldens", "manifest", "atomic",
+    "graph",
 )
 
 #: operation kinds that mutate durable state (crash-point boundaries)

@@ -22,6 +22,7 @@ only reaches upward inside a running worker.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import multiprocessing
 import signal
@@ -46,8 +47,10 @@ class CellSpec:
     """Everything needed to simulate one sweep cell from scratch.
 
     ``config`` is the full (picklable) GPUConfig object so workers never
-    depend on the parent's registry state; ``config_tag`` is the stable
-    name used for cache keys, checkpoints, and fault-plan lookups.
+    depend on the parent's registry state; ``config_tag`` names the cell
+    in checkpoint records, failure reports, trace parts and fault-plan
+    lookups.  Two cells with equal :attr:`content_key` are the same
+    simulation, whatever their tags.
     """
 
     benchmark: str
@@ -67,6 +70,7 @@ class CellSpec:
 
     @property
     def key(self) -> Tuple[Any, ...]:
+        """The cell's label: (benchmark, tag, *flags)."""
         telemetry_key = (
             self.telemetry.key if self.telemetry is not None else (None, False)
         )
@@ -76,6 +80,22 @@ class CellSpec:
             self.record_tlb_trace,
             self.occupancy_override,
         ) + telemetry_key
+
+    @functools.cached_property
+    def config_hash(self) -> str:
+        from ..telemetry.manifest import config_hash
+
+        return config_hash(self.config)
+
+    @property
+    def content_key(self) -> Tuple[Any, ...]:
+        return content_key(self.key, self.config_hash)
+
+
+def content_key(label: Tuple[Any, ...], config_hash: str) -> Tuple[Any, ...]:
+    """What a cell simulates: its label with the tag replaced by the
+    config hash, (benchmark, config hash, *flags)."""
+    return (label[0], config_hash) + tuple(label[2:])
 
 
 @dataclass

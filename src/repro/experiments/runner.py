@@ -3,9 +3,11 @@ supervision, checkpoint/resume, and graceful degradation.
 
 All figure modules funnel their simulations through one
 :class:`ExperimentRunner`, which memoizes :class:`~repro.arch.gpu.RunResult`
-per (benchmark, config-tag, trace-recording, occupancy) — Fig 2, 10
-and 11 share baseline runs, so a full paper regeneration simulates each
-cell exactly once.
+by what is simulated — (benchmark, config hash, *flags) — so Fig 2, 10
+and 11 share baseline runs and ``baseline`` ≡ ``geo_64x4`` is one
+simulation.  A cell's label (benchmark, tag, *flags) names it in
+checkpoints, failure reports, trace parts and fault plans, and is bound
+to one config hash.
 
 On top of the in-memory memo the runner layers the resilience features
 of :mod:`repro.engine.supervision`:
@@ -14,9 +16,10 @@ of :mod:`repro.engine.supervision`:
   ``fault_plan`` is set) runs each cell in an isolated subprocess
   worker with a wall-clock watchdog and retries transient failures with
   exponential backoff;
-* ``checkpoint_path`` appends every completed cell to a versioned
-  on-disk store; ``resume=True`` preloads it, so a killed sweep picks
-  up where it left off without re-simulating finished cells;
+* ``checkpoint_path`` appends every simulated cell, with its config
+  hash, to a versioned on-disk store; ``resume=True`` preloads it, so a
+  killed sweep picks up where it left off without re-simulating
+  finished cells;
 * ``strict=False`` converts terminal cell failures into placeholder
   :meth:`RunResult.make_failed` results — the figure modules render
   those cells as ``FAILED(<reason>)`` instead of aborting the report.
@@ -34,7 +37,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..arch.config import GPUConfig
 from ..arch.gpu import RunResult
 from ..arch.kernel import Kernel
-from ..engine.checkpoint import CheckpointStore
+from ..engine.checkpoint import CellKey, CheckpointStore
 from ..engine.errors import (
     CheckpointError,
     ConfigError,
@@ -47,20 +50,17 @@ from ..engine.supervision import (
     CellSpec,
     RetryPolicy,
     Supervisor,
+    content_key,
     simulate_cell,
 )
 from ..sanitizer import normalize_mode
 from ..telemetry import (
     RunManifest,
     TelemetrySettings,
-    config_hash,
-    manifest_path_for,
     merge_traces,
 )
 from ..workloads import BENCHMARKS, make_benchmark
 from .configs import get_config
-
-CellKey = Tuple
 
 
 @dataclass
@@ -110,13 +110,8 @@ class ExperimentRunner:
     def __post_init__(self) -> None:
         self._started = time.monotonic()
         self._trace_parts: List[Tuple[str, str]] = []
-        self._config_hashes: Dict[str, str] = {}
-        #: config hash behind every memo key: a second config under a
-        #: used (benchmark, tag) must not get the first one's result
-        self._key_hashes: Dict[CellKey, str] = {}
-        #: config hashes recorded by the manifest of a resumed checkpoint;
-        #: run_config refuses any tag whose current hash differs
-        self._resumed_hashes: Dict[str, str] = {}
+        #: label -> (config hash, bound only by a restored record)
+        self._labels: Dict[CellKey, Tuple[str, bool]] = {}
         if self.sanitize is not None:
             # fail fast on a bad mode string ("off" stays distinct from
             # None: it must override REPRO_SANITIZE inside workers)
@@ -136,47 +131,15 @@ class ExperimentRunner:
                 self.checkpoint_path, scale=self.scale, seed=self.seed
             )
             if self.resume:
-                self._validate_resume_manifest()
-                for key, payload in self._store.load().items():
-                    self._results[tuple(key)] = RunResult.from_dict(payload)
+                for label, payload in self._store.load().items():
+                    digest = self._store.config_hashes[label]
+                    self.bind(label, digest, restored=True)
+                    self._results[content_key(label, digest)] = (
+                        RunResult.from_dict(payload)
+                    )
                     self.cells_restored += 1
             elif self._store.exists():
                 self._store.discard()
-
-    def _validate_resume_manifest(self) -> None:
-        """Refuse a checkpoint whose manifest contradicts this invocation.
-
-        The checkpoint header already pins scale and seed; the manifest
-        sidecar additionally records a hash of every configuration the
-        producing run simulated, which lets us reject resumes after a
-        config edit — silently mixing old and new cells would produce a
-        sweep no single configuration ever generated.  A missing sidecar
-        (interrupted run, pre-manifest checkpoint) is tolerated; the
-        header checks still apply.
-        """
-        manifest_path = manifest_path_for(self.checkpoint_path)
-        if not os.path.exists(manifest_path):
-            return
-        try:
-            manifest = RunManifest.load(manifest_path)
-        except (ValueError, OSError) as exc:
-            raise CheckpointError(
-                f"cannot resume {self.checkpoint_path!r}: unreadable "
-                f"manifest sidecar {manifest_path!r} ({exc})"
-            ) from exc
-        if manifest.seed != self.seed:
-            raise CheckpointError(
-                f"cannot resume {self.checkpoint_path!r}: checkpoint was "
-                f"produced with seed {manifest.seed}, this run uses "
-                f"seed {self.seed}"
-            )
-        if manifest.scale != self.scale:
-            raise CheckpointError(
-                f"cannot resume {self.checkpoint_path!r}: checkpoint was "
-                f"produced at scale {manifest.scale!r}, this run uses "
-                f"scale {self.scale!r}"
-            )
-        self._resumed_hashes = dict(manifest.config_hashes)
 
     # ------------------------------------------------------------------ #
     # Workload construction
@@ -218,14 +181,15 @@ class ExperimentRunner:
         occupancy_override: Optional[int] = None,
         sample_every: Optional[int] = None,
     ) -> RunResult:
-        """Simulate one cell for an explicit config (memoized by ``tag``).
+        """Simulate one cell for an explicit config (memoized by content).
 
         This is the single funnel every experiment goes through —
         ad-hoc configs (ablations, oversubscription) get the same
         supervision, checkpointing, degradation, and telemetry as named
-        ones.
+        ones.  A cell simulated before under any tag is not simulated
+        again.
         """
-        spec, cell_trace = self._make_spec(
+        spec = self._make_spec(
             benchmark,
             config,
             tag,
@@ -233,33 +197,14 @@ class ExperimentRunner:
             occupancy_override=occupancy_override,
             sample_every=sample_every,
         )
-        key = spec.key
-        if key in self._results:
-            return self._results[key]
-        if key in self._failed:
-            return self._failed[key]
+        cached = self._cached(spec)
+        if cached is not None:
+            return cached
         try:
             result = self._execute(spec)
         except SimulationError as exc:
-            failure = CellFailure(
-                error_class=classify(exc),
-                message=str(exc),
-                attempts=getattr(exc, "attempts", 1),
-                elapsed=getattr(exc, "elapsed", 0.0),
-            )
-            self.failures[key] = failure
-            if self.strict:
-                raise
-            placeholder = RunResult.make_failed(benchmark, failure.error_class)
-            self._failed[key] = placeholder
-            return placeholder
-        self.cells_simulated += 1
-        self._results[key] = result
-        if cell_trace is not None:
-            self._trace_parts.append((f"{benchmark}:{tag}", cell_trace))
-        if self._store is not None:
-            self._store.append(key, result.to_dict())
-        return result
+            return self._integrate(spec, exc)
+        return self._integrate(spec, result)
 
     def _make_spec(
         self,
@@ -269,19 +214,9 @@ class ExperimentRunner:
         record_tlb_trace: bool = False,
         occupancy_override: Optional[int] = None,
         sample_every: Optional[int] = None,
-    ) -> Tuple[CellSpec, Optional[str]]:
-        """Validate the config against any resumed manifest and build the
-        :class:`CellSpec` (plus per-cell trace part path) for one cell."""
-        digest = config_hash(config)
-        current_hash = self._config_hashes.setdefault(tag, digest)
-        resumed = self._resumed_hashes.get(tag)
-        if resumed is not None and resumed != current_hash:
-            raise CheckpointError(
-                f"cannot reuse checkpoint {self.checkpoint_path!r}: config "
-                f"{tag!r} hashes to {current_hash} but the checkpoint was "
-                f"produced with {resumed}; rerun without --resume (or "
-                f"restore the original configuration)"
-            )
+    ) -> CellSpec:
+        """Build the :class:`CellSpec` for one cell and bind its label to
+        its config hash."""
         if sample_every is None:
             sample_every = self.sample_every
         cell_trace = None
@@ -305,28 +240,73 @@ class ExperimentRunner:
             telemetry=telemetry,
             sanitize=self.sanitize,
         )
-        recorded = self._key_hashes.setdefault(spec.key, digest)
-        if recorded != digest:
-            raise ConfigError(
-                f"benchmark {benchmark!r} under tag {tag!r} was already run "
-                f"with config {recorded}; this config hashes to {digest} — "
-                f"give it its own tag"
-            )
-        return spec, cell_trace
+        self.bind(spec.key, spec.config_hash)
+        return spec
 
-    def record_config_hash(self, tag: str, hash_: str) -> None:
-        """Record (and resume-validate) a hash for cells built outside
-        :meth:`run_config` — e.g. tenancy cells, whose hash folds the
-        tenant composition into the GPU config hash."""
-        current = self._config_hashes.setdefault(tag, hash_)
-        resumed = self._resumed_hashes.get(tag)
-        if resumed is not None and resumed != current:
+    def bind(
+        self, label: CellKey, digest: str, restored: bool = False
+    ) -> None:
+        """Bind a cell label (benchmark, tag, *flags) to its config hash.
+
+        A label already bound to another hash is refused: with
+        :class:`CheckpointError` if a restored checkpoint record bound
+        it, :class:`ConfigError` if this run did.
+        """
+        bound, from_checkpoint = self._labels.setdefault(
+            label, (digest, restored)
+        )
+        if bound == digest:
+            if from_checkpoint and not restored:
+                self._labels[label] = (digest, False)
+            return
+        benchmark, tag = label[0], label[1]
+        if from_checkpoint:
             raise CheckpointError(
-                f"cannot reuse checkpoint {self.checkpoint_path!r}: config "
-                f"{tag!r} hashes to {current} but the checkpoint was "
-                f"produced with {resumed}; rerun without --resume (or "
-                f"restore the original configuration)"
+                f"cannot resume {self.checkpoint_path!r}: benchmark "
+                f"{benchmark!r} under tag {tag!r} was checkpointed with "
+                f"config {bound}; this config hashes to {digest} — rerun "
+                f"without --resume (or restore the original configuration)"
             )
+        raise ConfigError(
+            f"benchmark {benchmark!r} under tag {tag!r} was already run "
+            f"with config {bound}; this config hashes to {digest} — "
+            f"give it its own tag"
+        )
+
+    def _cached(self, spec: CellSpec) -> Optional[RunResult]:
+        """The memoized outcome for ``spec``: its label's failure
+        placeholder, else the result of any cell with its content."""
+        failed = self._failed.get(spec.key)
+        return failed or self._results.get(spec.content_key)
+
+    def _integrate(
+        self, spec: CellSpec, outcome: RunResult | SimulationError
+    ) -> RunResult:
+        """Record a simulated cell's :class:`RunResult` (or the
+        :class:`SimulationError` it raised) in the memo and checkpoint."""
+        if isinstance(outcome, SimulationError):
+            failure = CellFailure(
+                error_class=classify(outcome),
+                message=str(outcome),
+                attempts=getattr(outcome, "attempts", 1),
+                elapsed=getattr(outcome, "elapsed", 0.0),
+            )
+            self.failures[spec.key] = failure
+            if self.strict:
+                raise outcome
+            placeholder = RunResult.make_failed(
+                spec.benchmark, failure.error_class
+            )
+            self._failed[spec.key] = placeholder
+            return placeholder
+        self.cells_simulated += 1
+        self._results[spec.content_key] = outcome
+        if spec.telemetry is not None and spec.telemetry.trace_path:
+            name = f"{spec.benchmark}:{spec.config_tag}"
+            self._trace_parts.append((name, spec.telemetry.trace_path))
+        if self._store is not None:
+            self._store.append(spec.key, outcome.to_dict(), spec.config_hash)
+        return outcome
 
     def _execute(self, spec: CellSpec) -> RunResult:
         if self.supervised:
@@ -356,24 +336,24 @@ class ExperimentRunner:
         fan-out needs process isolation to actually run concurrently);
         the ``supervised`` flag only governs the sequential path.
         """
-        jobs: List[Tuple[CellSpec, str, str]] = []
-        seen_keys = set(self._results) | set(self._failed)
+        jobs: List[CellSpec] = []
+        seen = set()
         for benchmark, config_name in cells:
-            spec, _ = self._make_spec(
+            spec = self._make_spec(
                 benchmark,
                 get_config(config_name),
                 config_name,
                 record_tlb_trace=record_tlb_trace,
             )
-            if spec.key in seen_keys:
+            if self._cached(spec) is not None or spec.content_key in seen:
                 continue
-            seen_keys.add(spec.key)
-            jobs.append((spec, benchmark, config_name))
+            seen.add(spec.content_key)
+            jobs.append(spec)
         if not jobs:
             return
         if self.parallel <= 1 or len(jobs) == 1 or self.trace_path is not None:
-            for _, benchmark, config_name in jobs:
-                self.run(benchmark, config_name, record_tlb_trace)
+            for spec in jobs:
+                self.run(spec.benchmark, spec.config_tag, record_tlb_trace)
             return
         # Workers are forked from a (briefly) multi-threaded parent;
         # importing the worker-side modules here first means the children
@@ -384,34 +364,16 @@ class ExperimentRunner:
         with ThreadPoolExecutor(
             max_workers=min(self.parallel, len(jobs))
         ) as pool:
-            futures = [pool.submit(run_cell, spec) for spec, _, _ in jobs]
+            futures = [pool.submit(run_cell, spec) for spec in jobs]
         # the pool has joined: every future is done; integrate in
-        # deterministic submission order
-        for (spec, benchmark, _), future in zip(jobs, futures):
-            key = spec.key
+        # deterministic submission order (a strict sweep keeps the cells
+        # before the first failure, like a sequential one)
+        for spec, future in zip(jobs, futures):
             try:
-                result = RunResult.from_dict(future.result())
+                outcome = RunResult.from_dict(future.result())
             except SimulationError as exc:
-                failure = CellFailure(
-                    error_class=classify(exc),
-                    message=str(exc),
-                    attempts=getattr(exc, "attempts", 1),
-                    elapsed=getattr(exc, "elapsed", 0.0),
-                )
-                self.failures[key] = failure
-                if self.strict:
-                    # mirror a sequential strict sweep: cells before the
-                    # (first, in order) failure are kept, later ones are
-                    # not integrated
-                    raise
-                self._failed[key] = RunResult.make_failed(
-                    benchmark, failure.error_class
-                )
-                continue
-            self.cells_simulated += 1
-            self._results[key] = result
-            if self._store is not None:
-                self._store.append(key, result.to_dict())
+                outcome = exc
+            self._integrate(spec, outcome)
 
     def run_all(
         self, config_name: str, record_tlb_trace: bool = False
@@ -428,26 +390,23 @@ class ExperimentRunner:
     # ------------------------------------------------------------------ #
     # Degradation bookkeeping
     # ------------------------------------------------------------------ #
-    def failure_for(self, benchmark: str, tag: str) -> Optional[CellFailure]:
+    def _failed_cells(self) -> Dict[Tuple[str, str], CellFailure]:
+        """(benchmark, tag) -> its first failure (dedup trace variants)."""
+        cells: Dict[Tuple[str, str], CellFailure] = {}
         for key, failure in self.failures.items():
-            if key[0] == benchmark and key[1] == tag:
-                return failure
-        return None
+            cells.setdefault(key[:2], failure)
+        return cells
+
+    def failure_for(self, benchmark: str, tag: str) -> Optional[CellFailure]:
+        return self._failed_cells().get((benchmark, tag))
 
     def failure_summary(self) -> List[str]:
-        """One human-readable line per failed cell (dedup trace variants)."""
-        lines: List[str] = []
-        seen = set()
-        for key, f in sorted(self.failures.items(), key=lambda kv: kv[0][:2]):
-            cell = (key[0], key[1])
-            if cell in seen:
-                continue
-            seen.add(cell)
-            lines.append(
-                f"({key[0]}, {key[1]}) {f.marker} after {f.attempts} "
-                f"attempt(s): {f.message.splitlines()[0]}"
-            )
-        return lines
+        """One human-readable line per failed (benchmark, tag) cell."""
+        return [
+            f"({b}, {t}) {f.marker} after {f.attempts} attempt(s): "
+            f"{f.message.splitlines()[0]}"
+            for (b, t), f in sorted(self._failed_cells().items())
+        ]
 
     def finalize_trace(self) -> Optional[str]:
         """Merge per-cell trace parts into ``trace_path`` (idempotent).
@@ -466,25 +425,27 @@ class ExperimentRunner:
         self._trace_parts = []
         return merged
 
-    def _manifest(self, artifact_kind: str, artifact_path: str) -> RunManifest:
-        """Reproducibility manifest for an artifact this runner produced."""
+    def write_manifest(self, artifact_kind: str, artifact_path: str) -> str:
+        """Write the reproducibility manifest ``<artifact>.manifest.json``
+        next to an artifact this runner produced."""
+        # tag -> hash of the first label this run (not a checkpoint) bound
+        tag_hashes: Dict[str, str] = {}
+        for label, (digest, restored) in self._labels.items():
+            if not restored:
+                tag_hashes.setdefault(label[1], digest)
         return RunManifest(
             artifact_kind=artifact_kind,
             artifact_path=artifact_path,
             scale=self.scale,
             seed=self.seed,
             benchmarks=list(self.benchmarks),
-            config_hashes=dict(sorted(self._config_hashes.items())),
+            config_hashes=dict(sorted(tag_hashes.items())),
             trace_path=self.trace_path,
             sample_every=self.sample_every,
             cells_simulated=self.cells_simulated,
             cells_restored=self.cells_restored,
             wall_time_s=time.monotonic() - self._started,
-        )
-
-    def write_manifest(self, artifact_kind: str, artifact_path: str) -> str:
-        """Write ``<artifact>.manifest.json`` next to an artifact."""
-        return self._manifest(artifact_kind, artifact_path).write()
+        ).write()
 
     def close(self) -> None:
         """Flush telemetry artifacts and release the checkpoint store.

@@ -232,8 +232,9 @@ def run(
             mix=mix, mode=mode, scale=runner.scale, seed=runner.seed
         )
         tag = f"tenancy_{mode.value}"
-        runner.record_config_hash(
-            tag, config_hash(config, tenancy=spec.describe())
+        # tenancy cells run outside the memo; bind them for the manifest
+        runner.bind(
+            ("+".join(mix), tag), config_hash(config, tenancy=spec.describe())
         )
         try:
             results[mode.value] = run_tenancy_cell(

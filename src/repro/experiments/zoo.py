@@ -130,10 +130,7 @@ def run(
         if not collect_failures(failures, b, base):
             continue
         for name, config in configs.items():
-            result = (
-                base if name == "zoo_baseline"
-                else runner.run_config(b, config, name)
-            )
+            result = runner.run_config(b, config, name)
             if not collect_failures(failures, b, result):
                 continue
             norm_time.setdefault(name, {})[b] = (

@@ -123,8 +123,7 @@ class RunManifest:
         """Write next to the artifact (default) or to an explicit path.
 
         Atomic (temp + rename + fsync): a manifest either exists in
-        full or not at all — resume validation must never read a torn
-        sidecar.
+        full or not at all, so no reader ever sees a torn sidecar.
         """
         if path is None:
             path = manifest_path_for(self.artifact_path)

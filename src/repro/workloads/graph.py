@@ -10,7 +10,10 @@ spreading over the whole id range (large reuse distances).
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,6 +114,10 @@ def generate_power_law_graph(
     return graph
 
 
+#: bump whenever :func:`generate_power_law_graph` changes its output
+GENERATOR_VERSION = 1
+
+
 def _cache_dir() -> Path:
     root = os.environ.get("REPRO_CACHE_DIR")
     if root:
@@ -125,29 +132,38 @@ def cached_power_law_graph(
 
     All four graph benchmarks at one scale share one graph, and separate
     processes (pytest, benchmarks, examples) reuse it via an ``.npz``
-    cache keyed by (nodes, edges-per-node, seed).
+    cache keyed by (generator version, nodes, edges-per-node, seed),
+    read and written through the storage shim.  An entry that fails to
+    decode or validate (torn write, bit rot) is moved aside as
+    ``.invalid`` and regenerated.
     """
-    cache = _cache_dir()
-    path = cache / f"powerlaw_n{num_nodes}_m{edges_per_node}_s{seed}.npz"
-    if path.exists():
-        data = np.load(path)
-        graph = CSRGraph(
-            int(data["num_nodes"]), data["row_ptr"], data["col_idx"]
-        )
+    from ..engine.atomic import atomic_write
+    from ..engine.storage import get_storage
+
+    storage = get_storage()
+    name = f"powerlaw_v{GENERATOR_VERSION}_n{num_nodes}_m{edges_per_node}"
+    path = str(_cache_dir() / f"{name}_s{seed}.npz")
+    try:
+        with np.load(io.BytesIO(storage.read_bytes(path, "graph"))) as data:
+            graph = CSRGraph(
+                int(data["num_nodes"]), data["row_ptr"], data["col_idx"]
+            )
         graph.validate()
         return graph
-    graph = generate_power_law_graph(num_nodes, edges_per_node, seed)
-    try:
-        from ..engine.atomic import atomic_path
-
-        with atomic_path(str(path)) as tmp:
-            np.savez(
-                tmp,
-                num_nodes=np.int64(graph.num_nodes),
-                row_ptr=graph.row_ptr,
-                col_idx=graph.col_idx,
-            )
     except OSError:
-        # Cache is an optimization only; never fail the build over it.
-        pass
+        pass  # missing or unreadable: regenerate
+    except (ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        with contextlib.suppress(OSError):
+            storage.replace(path, path + ".invalid", "graph")
+    graph = generate_power_law_graph(num_nodes, edges_per_node, seed)
+    buffer = io.BytesIO()
+    np.savez(
+        buffer,
+        num_nodes=np.int64(graph.num_nodes),
+        row_ptr=graph.row_ptr,
+        col_idx=graph.col_idx,
+    )
+    with contextlib.suppress(OSError):
+        # the cache is an optimization only; never fail the build over it
+        atomic_write(path, buffer.getvalue(), layer="graph")
     return graph

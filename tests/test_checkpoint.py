@@ -206,11 +206,11 @@ class TestRunnerResume:
 
 
 class TestResumeManifestValidation:
-    """Satellite (ISSUE 3): --resume cross-validates the RunManifest.
+    """Resume refuses config drift without reading the manifest.
 
-    The checkpoint header pins scale/seed; the manifest sidecar
-    additionally pins a hash per simulated config, so resuming after a
-    config edit is refused instead of silently mixing results.
+    The checkpoint header pins scale/seed; every record pins the config
+    hash of its cell, so resuming after a config edit is refused instead
+    of silently mixing results.  The manifest sidecar is output only.
     """
 
     def produce(self, tmp_path, seed=0):
@@ -288,12 +288,88 @@ class TestResumeManifestValidation:
         )
         assert runner.cells_restored == 1
 
-    def test_unreadable_manifest_refused(self, tmp_path):
-        path = self.produce(tmp_path)
-        with open(path + ".manifest.json", "w") as handle:
-            handle.write('{"kind": "not-a-manifest"}')
-        with pytest.raises(CheckpointError, match="manifest"):
-            ExperimentRunner(
-                scale="micro", benchmarks=("nw",), checkpoint_path=path,
-                resume=True,
+
+def _edited(name, **changes):
+    import dataclasses
+
+    from repro.experiments.configs import get_config
+
+    return dataclasses.replace(get_config(name), **changes)
+
+
+class TestCellIdentity:
+    """Cells are memoized by what is simulated and checkpointed with the
+    config hash behind each label."""
+
+    def resume(self, path):
+        return ExperimentRunner(
+            scale="micro", benchmarks=("nw", "3dconv"), checkpoint_path=path,
+            resume=True,
+        )
+
+    def test_killed_run_drift_refused(self, tmp_path):
+        """A run killed before close() leaves no manifest; its records
+        still pin the config behind each label."""
+        path = str(tmp_path / "killed.jsonl")
+        killed = ExperimentRunner(
+            scale="micro", benchmarks=("nw",), checkpoint_path=path
+        )
+        killed.run_config("nw", _edited("baseline"), "capped")
+        # no close(): the process was SIGKILLed
+        runner = self.resume(path)
+        with pytest.raises(CheckpointError, match="capped"):
+            runner.run_config(
+                "nw", _edited("baseline", l1_tlb_entries=16), "capped"
             )
+
+    def test_per_benchmark_drift_refused(self, tmp_path):
+        """One tag bound to a different config per benchmark: editing the
+        second benchmark's config is refused too."""
+        path = str(tmp_path / "oversub.jsonl")
+        first = ExperimentRunner(
+            scale="micro", benchmarks=("nw", "3dconv"), checkpoint_path=path
+        )
+        first.run_config("nw", _edited("baseline"), "capped")
+        first.run_config("3dconv", _edited("baseline", l1_tlb_entries=32), "capped")
+        first.close()
+        runner = self.resume(path)
+        runner.run_config("nw", _edited("baseline"), "capped")
+        with pytest.raises(CheckpointError) as excinfo:
+            runner.run_config(
+                "3dconv", _edited("baseline", l1_tlb_entries=16), "capped"
+            )
+        message = str(excinfo.value)
+        assert "'3dconv'" in message and "'capped'" in message
+
+    def test_reordered_resume_restores_everything(self, tmp_path):
+        path = str(tmp_path / "order.jsonl")
+        cells = [
+            ("nw", _edited("baseline")),
+            ("3dconv", _edited("baseline", l1_tlb_entries=32)),
+        ]
+        first = ExperimentRunner(
+            scale="micro", benchmarks=("nw", "3dconv"), checkpoint_path=path
+        )
+        expected = [first.run_config(b, c, "capped") for b, c in cells]
+        first.close()
+        runner = self.resume(path)
+        served = [runner.run_config(b, c, "capped") for b, c in reversed(cells)]
+        assert served == expected[::-1]
+        assert runner.cells_restored == 2
+        assert runner.cells_simulated == 0
+
+    def test_content_duplicates_simulated_once(self, tmp_path):
+        path = str(tmp_path / "dedup.jsonl")
+        first = ExperimentRunner(
+            scale="micro", benchmarks=("nw",), checkpoint_path=path
+        )
+        baseline = first.run("nw", "baseline")
+        alias = first.run_config("nw", _edited("baseline"), "geo_64x4")
+        assert first.cells_simulated == 1
+        assert alias is baseline
+        first.close()
+        runner = self.resume(path)
+        assert runner.run_config("nw", _edited("baseline"), "geo_64x4") == baseline
+        assert runner.run("nw", "baseline") == baseline
+        assert runner.cells_restored == 1
+        assert runner.cells_simulated == 0

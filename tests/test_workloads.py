@@ -1,5 +1,6 @@
 """Tests for the 10 benchmark generators (micro scale for speed)."""
 
+import numpy as np
 import pytest
 
 from repro.arch.config import GPUConfig
@@ -146,3 +147,20 @@ class TestPowerLawGraph:
         g2 = generate_power_law_graph(1000, 4, seed=9)
         assert (g1.col_idx == g2.col_idx).all()
         assert (g1.row_ptr == g2.row_ptr).all()
+
+
+class TestGraphCache:
+    def test_torn_cache_entry_is_regenerated(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        fresh = make_benchmark("bfs", scale=SCALE, seed=5)
+        (entry,) = tmp_path.glob("*.npz")
+        blob = entry.read_bytes()
+        entry.write_bytes(blob[: len(blob) // 2])  # torn write
+
+        again = make_benchmark("bfs", scale=SCALE, seed=5)
+        assert [list(tb.addresses()) for tb in again.tbs] == [
+            list(tb.addresses()) for tb in fresh.tbs
+        ]
+        with np.load(entry) as data:  # rewritten whole
+            assert data["row_ptr"].shape[0] == int(data["num_nodes"]) + 1
+        assert (tmp_path / (entry.name + ".invalid")).exists()
