@@ -226,17 +226,22 @@ class GPU:
         """Launch ``kernel``, run to completion, and summarize."""
         start = self.sim.now
         self.launch(kernel, occupancy_override)
+        return self._finish_run(start)
+
+    def _finish_run(self, start: float) -> RunResult:
+        """Drain the launched kernel, record its span, and summarize it."""
         self.sim.run()
         if self._tbs_remaining != 0:
             raise RuntimeError(
                 f"simulation drained with {self._tbs_remaining} TBs unfinished"
             )
+        kernel = self._kernel
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.complete(
                 CAT_KERNEL, kernel.name, start, self.sim.now - start,
                 tracer.track("kernel"),
-                {"tbs": len(kernel.tbs), "sms": len(self.sms)},
+                {"tbs": kernel.num_tbs, "sms": len(self.sms)},
             )
         result = self._collect(kernel)
         self._kernel = None

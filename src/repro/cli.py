@@ -128,9 +128,10 @@ def _add_exec_group(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--parallel", type=int, default=1, metavar="N",
-        help="run up to N sweep cells concurrently in supervised "
-             "subprocess workers (results stay deterministic and are "
-             "integrated in submission order; default: 1, sequential)",
+        help="compare --configs: simulate up to N configs concurrently "
+             "in supervised subprocess workers (results stay "
+             "deterministic, integrated in submission order); run and "
+             "report simulate in-process and ignore it (default: 1)",
     )
 
 

@@ -27,6 +27,7 @@ import hashlib
 import multiprocessing
 import signal
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Tuple
 
@@ -167,10 +168,29 @@ def simulate_cell(spec: CellSpec) -> Any:
         raise WorkloadError(
             f"benchmark {spec.benchmark!r} failed to generate: {exc}"
         ) from exc
-    sim = None
+    with cell_simulator(
+        spec.telemetry, spec.sanitize, f"{spec.benchmark}:{spec.config_tag}"
+    ) as sim:
+        gpu = build_gpu(
+            spec.config, sim=sim, record_tlb_trace=spec.record_tlb_trace
+        )
+        return gpu.run(kernel, occupancy_override=spec.occupancy_override)
+
+
+@contextmanager
+def cell_simulator(telemetry, sanitize: Optional[str], label: str):
+    """The simulator one cell runs on, with its tracer, sampler and
+    sanitizer; on a clean exit the trace goes to the telemetry's
+    per-cell path under ``label``.
+
+    An explicit ``sanitize`` mode wins over ``REPRO_SANITIZE``
+    (``"off"`` included); ``None`` falls back to it.
+    """
+    from ..sanitizer.core import Sanitizer
+    from .simulator import Simulator
+
     tracer = None
     sampler = None
-    telemetry = spec.telemetry
     if telemetry is not None and telemetry.active:
         from ..telemetry import TimeSeriesSampler, Tracer
 
@@ -180,31 +200,10 @@ def simulate_cell(spec: CellSpec) -> Any:
             if telemetry.sample_every is not None
             else None
         )
-    from ..sanitizer.core import Sanitizer
-
-    # explicit CLI mode wins over REPRO_SANITIZE; None falls back to it
-    sanitizer = Sanitizer.make(spec.sanitize)
-    if (
-        tracer is not None
-        or sampler is not None
-        or sanitizer is not None
-        # an explicit "off" must pin sanitizer=None here: a default
-        # Simulator would re-read REPRO_SANITIZE and turn it back on
-        or spec.sanitize is not None
-    ):
-        from ..engine.simulator import Simulator
-
-        sim = Simulator(tracer=tracer, sampler=sampler, sanitizer=sanitizer)
-    gpu = build_gpu(
-        spec.config, sim=sim, record_tlb_trace=spec.record_tlb_trace
-    )
-    result = gpu.run(kernel, occupancy_override=spec.occupancy_override)
+    sanitizer = Sanitizer.make(sanitize)
+    yield Simulator(tracer=tracer, sampler=sampler, sanitizer=sanitizer)
     if tracer is not None:
-        tracer.export(
-            telemetry.trace_path,
-            label=f"{spec.benchmark}:{spec.config_tag}",
-        )
-    return result
+        tracer.export(telemetry.trace_path, label=label)
 
 
 def _worker_main(spec: CellSpec, fault: Optional[FaultSpec], conn) -> None:

@@ -277,9 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(bare flag means strict; 'off' overrides "
                              "REPRO_SANITIZE)")
     parser.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="simulate up to N cells concurrently in "
-                             "supervised workers (deterministic results; "
-                             "default: 1)")
+                        help="accepted for symmetry with compare; no "
+                             "report section fans cells out, so the "
+                             "report simulates in-process (default: 1)")
     return parser
 
 

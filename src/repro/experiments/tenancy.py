@@ -6,9 +6,10 @@ generators under each partition mode and measure what co-residency does
 to each tenant — per-tenant IPC, slowdown vs running the machine alone,
 TLB cross-pollution, and Jain's fairness index.
 
-Cells run through :func:`simulate_tenancy_cell` (the tenancy analogue of
-:func:`repro.engine.supervision.simulate_cell`, same telemetry/sanitizer
-wiring); solo baselines go through the shared
+Cells run through :func:`run_tenancy_cell`, which builds the machine
+with :func:`repro.system.build_gpu` (``tenancy=spec``) on the simulator
+:func:`repro.engine.supervision.cell_simulator` wires for every cell
+(same telemetry/sanitizer wiring); solo baselines go through the shared
 :class:`~repro.experiments.runner.ExperimentRunner` so they are memoized
 and checkpointable like every other cell.  The tenancy composition is
 folded into the recorded config hash
@@ -23,13 +24,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..arch.config import BASELINE_CONFIG, GPUConfig
+from ..engine.supervision import CellSpec, cell_simulator, simulate_cell
+from ..system import build_gpu
 from ..telemetry.manifest import config_hash
-from ..tenancy import (
-    PartitionMode,
-    TenancyResult,
-    TenancySpec,
-    build_tenant_gpu,
-)
+from ..tenancy import PartitionMode, TenancyResult, TenancySpec
 from .runner import ExperimentRunner, ShapeCheck
 
 #: The report's tenant matrix: one heterogeneous mix (a TLB-thrashing
@@ -37,49 +35,6 @@ from .runner import ExperimentRunner, ShapeCheck
 #: partition mode.  The CLI (`repro run --tenants ...`) exposes the full
 #: tenant-count x mode x mix space.
 REPORT_MIX: Tuple[str, ...] = ("bfs", "gemm")
-
-
-def simulate_tenancy_cell(
-    spec: TenancySpec,
-    config: GPUConfig,
-    config_tag: str,
-    sanitize: Optional[str] = None,
-    telemetry=None,
-) -> TenancyResult:
-    """Build and run one tenancy cell (tracer/sampler/sanitizer wired
-    exactly like single-tenant cells)."""
-    tracer = None
-    sampler = None
-    if telemetry is not None and telemetry.active:
-        from ..telemetry import TimeSeriesSampler, Tracer
-
-        tracer = Tracer() if telemetry.trace_path is not None else None
-        sampler = (
-            TimeSeriesSampler(telemetry.sample_every)
-            if telemetry.sample_every is not None
-            else None
-        )
-    from ..sanitizer.core import Sanitizer
-
-    sanitizer = Sanitizer.make(sanitize)
-    sim = None
-    if (
-        tracer is not None
-        or sampler is not None
-        or sanitizer is not None
-        or sanitize is not None
-    ):
-        from ..engine.simulator import Simulator
-
-        sim = Simulator(tracer=tracer, sampler=sampler, sanitizer=sanitizer)
-    gpu = build_tenant_gpu(spec, config, sim=sim)
-    result = gpu.run_tenants()
-    if tracer is not None:
-        tracer.export(
-            telemetry.trace_path,
-            label=f"tenancy:{'+'.join(spec.mix)}:{config_tag}",
-        )
-    return result
 
 
 def run_tenancy_cell(
@@ -96,15 +51,13 @@ def run_tenancy_cell(
     are simulated here (unsanitized — the solo run only anchors the
     slowdown denominator).
     """
-    result = simulate_tenancy_cell(
-        spec, config, config_tag, sanitize=sanitize, telemetry=telemetry
-    )
+    label = f"tenancy:{'+'.join(spec.mix)}:{config_tag}"
+    with cell_simulator(telemetry, sanitize, label) as sim:
+        result = build_gpu(config, sim=sim, tenancy=spec).run_tenants()
     if solo_cycles is None:
         solo_cycles = {}
     for benchmark in set(spec.mix):
         if benchmark not in solo_cycles:
-            from ..engine.supervision import CellSpec, simulate_cell
-
             solo = simulate_cell(
                 CellSpec(
                     benchmark=benchmark,

@@ -51,11 +51,10 @@ Tag inventory (stable; documented in DESIGN.md §8):
                             per-region page counts consistent
 == ========================= ==========================================
 
-Tags 23-24 are registered by
-:func:`repro.tenancy.machine.build_tenant_gpu` (multi-tenant runs only);
-tag 25 only when the config enables dead-entry protection and tag 26
-only under mosaic allocation; the rest by
-:func:`repro.system.build_gpu` and the tenant builder alike.
+All are registered by :func:`repro.system.build_gpu`: tags 23-24 only
+when it builds a tenant machine (a ``tenancy`` spec); tag 25 only when
+the config enables dead-entry protection and tag 26 only under mosaic
+allocation (one checker per tenant page table); the rest always.
 """
 
 from __future__ import annotations

@@ -261,6 +261,12 @@ def suite_resume(scale: str, seed: int) -> CheckOutcome:
     )
 
 
+#: configs the tenancy-identity suite checks: the baseline, the proposal,
+#: and mosaic (the one named config whose machine differs from the
+#: baseline's outside the L1 TLB: allocator stats and checker)
+_IDENTITY_CONFIGS = ("baseline", _CELL_CONFIG, "mosaic")
+
+
 def suite_tenancy_identity(scale: str, seed: int) -> CheckOutcome:
     """1 tenant + exclusive partitioning ≡ the single-tenant machine.
 
@@ -269,15 +275,16 @@ def suite_tenancy_identity(scale: str, seed: int) -> CheckOutcome:
     reduce to the identity (relocation adds offset 0, the ASID router
     passes through, the tenant scheduler delegates to the stock
     scheduler over all SMs), so the combined result — stats dump
-    included — must be byte-identical to :func:`repro.system.build_gpu`.
-    Checked for both the baseline and the proposal configuration.
+    included — must be byte-identical to :func:`repro.system.build_gpu`
+    without a tenancy spec.  Checked for the baseline, the proposal and
+    the mosaic configuration.
     """
+    from ..engine.supervision import CellSpec, simulate_cell
     from ..experiments.configs import get_config
-    from ..tenancy import PartitionMode, TenancySpec, build_tenant_gpu
+    from ..system import build_gpu
+    from ..tenancy import PartitionMode, TenancySpec
 
-    for config_tag in ("baseline", _CELL_CONFIG):
-        from ..engine.supervision import CellSpec, simulate_cell
-
+    for config_tag in _IDENTITY_CONFIGS:
         base = simulate_cell(
             CellSpec(
                 benchmark=_CELL_BENCHMARK,
@@ -294,7 +301,7 @@ def suite_tenancy_identity(scale: str, seed: int) -> CheckOutcome:
             scale=scale,
             seed=seed,
         )
-        gpu = build_tenant_gpu(spec, get_config(config_tag))
+        gpu = build_gpu(get_config(config_tag), tenancy=spec)
         tenant = gpu.run_tenants()
         diff = _diff_payloads(
             _result_payload(base), _result_payload(tenant.combined)
@@ -307,8 +314,8 @@ def suite_tenancy_identity(scale: str, seed: int) -> CheckOutcome:
             )
     return CheckOutcome(
         "tenancy-identity", True,
-        f"{_CELL_BENCHMARK} byte-identical under baseline and "
-        f"{_CELL_CONFIG}",
+        f"{_CELL_BENCHMARK} byte-identical under "
+        f"{', '.join(_IDENTITY_CONFIGS)}",
     )
 
 

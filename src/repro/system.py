@@ -11,12 +11,14 @@ This is the main entry point of the library::
     print(result.avg_l1_tlb_hit_rate, result.cycles)
 
 ``build_gpu`` wires the substrates (engine, translation, memory, arch)
-to the paper's policies (core) according to the config.
+to the paper's policies (core) according to the config.  It is the only
+machine builder: a tenancy spec (``build_gpu(config, tenancy=spec)``)
+swaps in the tenant-aware parts and leaves the rest of the wiring as is.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from .arch.config import GPUConfig
 from .arch.gpu import GPU
@@ -35,17 +37,79 @@ from .translation.uvm import AllocationPolicy, UVMManager
 from .translation.walker import WalkerPool
 
 
+class MachineParts:
+    """The parts of a machine that a tenancy spec may swap, in their
+    stock one-address-space form.
+
+    :func:`build_gpu` wires everything else once;
+    :class:`repro.tenancy.machine.TenantParts` overrides only what a
+    partition mode changes.
+    """
+
+    #: address spaces, one page table (``UVMManager``) each
+    num_spaces = 1
+
+    def __init__(self, config: GPUConfig) -> None:
+        self.config = config
+
+    def walk_target(self, uvms: List[UVMManager]):
+        """What the walker pool resolves VPNs through: the one UVM."""
+        (uvm,) = uvms
+        return uvm
+
+    def vpn_tag(self, space: int) -> int:
+        """High VPN bits naming address space ``space`` (shootdowns)."""
+        return 0
+
+    def l2_tlb(self, stats) -> SetAssociativeTLB:
+        config = self.config
+        return SetAssociativeTLB(
+            config.l2_tlb_entries,
+            config.l2_tlb_assoc,
+            config.l2_tlb_latency,
+            stats=stats,
+            name="l2_tlb",
+        )
+
+    def l1_tlb(self, stats, name: str) -> SetAssociativeTLB:
+        return build_l1_tlb(self.config, stats=stats, name=name)
+
+    def partitions(self, **kwargs) -> PartitionedMemory:
+        return PartitionedMemory(**kwargs)
+
+    def scheduler(self):
+        return make_scheduler(self.config.tb_scheduler, self.config.num_sms)
+
+    def machine(self, *parts) -> GPU:
+        return GPU(*parts)
+
+    def register_checkers(self, san, gpu: GPU) -> None:
+        """Checkers beyond :func:`_register_checkers`' standard set."""
+
+
 def build_gpu(
     config: GPUConfig,
     sim: Optional[Simulator] = None,
     record_tlb_trace: bool = False,
+    tenancy=None,
 ) -> GPU:
     """Assemble a full GPU system from ``config``.
 
     ``record_tlb_trace=True`` makes every SM log its (tb_index, vpn) L1
     TLB access stream — used by the reuse-distance characterization
     (Fig 5) at the cost of memory proportional to the trace.
+
+    ``tenancy`` (a :class:`~repro.tenancy.TenancySpec`) co-schedules the
+    spec's tenants and returns a
+    :class:`~repro.tenancy.MultiTenantGPU`; its partition mode picks the
+    parts that differ (:class:`~repro.tenancy.machine.TenantParts`).
     """
+    if tenancy is None:
+        parts = MachineParts(config)
+    else:
+        from .tenancy.machine import TenantParts
+
+        parts = TenantParts(tenancy, config)
     if sim is None:
         sim = Simulator()
     geometry = geometry_for(config.page_size)
@@ -60,33 +124,36 @@ def build_gpu(
             tracer.track(f"walker{walker_id}")
     clock = lambda: sim.queue.now  # noqa: E731 — cycle clock for untimed parts
 
-    # Shared translation machinery (Fig 1 right-hand side).
-    uvm = UVMManager(
-        geometry=geometry,
-        policy=config.allocation_policy,
-        far_fault_latency=config.far_fault_latency,
-        gpu_memory_bytes=config.gpu_memory_bytes,
-        # only mosaic records allocator counters; an unconditional group
-        # would change every config's stats dump (golden identity)
-        stats=(
-            sim.stats.group("uvm")
-            if config.allocation_policy is AllocationPolicy.MOSAIC
-            else None
-        ),
+    # Shared translation machinery (Fig 1 right-hand side): one page
+    # table per address space, device memory split evenly among them.
+    # Only mosaic records allocator counters; an unconditional group
+    # would change every config's stats dump (golden identity).
+    uvm_stats = (
+        sim.stats.group("uvm")
+        if config.allocation_policy is AllocationPolicy.MOSAIC
+        else None
     )
+    uvms = [
+        UVMManager(
+            geometry=geometry,
+            policy=config.allocation_policy,
+            far_fault_latency=config.far_fault_latency,
+            gpu_memory_bytes=(
+                config.gpu_memory_bytes // parts.num_spaces
+                if config.gpu_memory_bytes is not None
+                else None
+            ),
+            stats=uvm_stats,
+        )
+        for _ in range(parts.num_spaces)
+    ]
     walkers = WalkerPool(
-        uvm,
+        parts.walk_target(uvms),
         num_walkers=config.num_walkers,
         walk_latency=config.walk_latency,
         stats=sim.stats.group("walkers"),
     )
-    l2_tlb = SetAssociativeTLB(
-        config.l2_tlb_entries,
-        config.l2_tlb_assoc,
-        config.l2_tlb_latency,
-        stats=sim.stats.group("l2_tlb"),
-        name="l2_tlb",
-    )
+    l2_tlb = parts.l2_tlb(sim.stats.group("l2_tlb"))
     translation = SharedTranslationService(
         sim, l2_tlb, walkers, port_interval=config.l2_tlb_port_interval
     )
@@ -107,7 +174,7 @@ def build_gpu(
         injection_interval=config.noc_injection_interval,
         stats=sim.stats.group("interconnect"),
     )
-    partitions = PartitionedMemory(
+    partitions = parts.partitions(
         num_partitions=config.num_partitions,
         line_bytes=config.line_bytes,
         registry=sim.stats,
@@ -121,8 +188,8 @@ def build_gpu(
     # Per-SM private structures.
     sms = []
     for sm_id in range(config.num_sms):
-        l1_tlb = build_l1_tlb(
-            config, stats=sim.stats.group(f"sm{sm_id}_l1tlb"), name=f"sm{sm_id}_l1tlb"
+        l1_tlb = parts.l1_tlb(
+            sim.stats.group(f"sm{sm_id}_l1tlb"), name=f"sm{sm_id}_l1tlb"
         )
         if tracer.enabled:
             l1_tlb.bind_tracer(tracer, clock, tracer.track(f"SM{sm_id} L1 TLB"))
@@ -159,28 +226,37 @@ def build_gpu(
     if config.gpu_memory_bytes is not None:
         # TLB shootdown on page eviction: the victim's translation must
         # leave every TLB level before the page migrates to the host.
-        def _shootdown(vpn: int) -> None:
-            l2_tlb.invalidate(vpn)
-            for sm in sms:
-                sm.l1_tlb.invalidate(vpn)
+        # A UVM evicts in its own VPN space; the tag names that space so
+        # only its entries die.
+        def _shootdown_for(tag: int):
+            def _shootdown(vpn: int) -> None:
+                vpn |= tag
+                l2_tlb.invalidate(vpn)
+                for sm in sms:
+                    sm.l1_tlb.invalidate(vpn)
 
-        uvm.invalidate_hook = _shootdown
+            return _shootdown
 
-    scheduler = make_scheduler(config.tb_scheduler, config.num_sms)
+        for space, uvm in enumerate(uvms):
+            uvm.invalidate_hook = _shootdown_for(parts.vpn_tag(space))
+
+    scheduler = parts.scheduler()
     scheduler.bind_telemetry(tracer, clock)
     if sim.sampler is not None:
         # occupancy is state, not a counter — sample it via a probe
         sim.sampler.add_probe(
             "resident_tbs", lambda: sum(len(sm.resident) for sm in sms)
         )
+    gpu = parts.machine(
+        sim, config, geometry, sms, scheduler, l2_tlb, walkers, partitions
+    )
     if sim.sanitizer is not None:
-        _register_checkers(sim, sms, l2_tlb, walkers, translation, scheduler, uvm)
-    return GPU(sim, config, geometry, sms, scheduler, l2_tlb, walkers, partitions)
+        _register_checkers(sim, sms, l2_tlb, walkers, translation, scheduler, uvms)
+        parts.register_checkers(sim.sanitizer, gpu)
+    return gpu
 
 
-def _register_checkers(
-    sim, sms, l2_tlb, walkers, translation, scheduler, uvm=None
-) -> None:
+def _register_checkers(sim, sms, l2_tlb, walkers, translation, scheduler, uvms) -> None:
     """Attach the sanitizer's component checkers to a built machine."""
     from .core.tb_scheduler import TLBAwareScheduler
     from .sanitizer import (
@@ -208,8 +284,9 @@ def _register_checkers(
     san.register(LifecycleChecker(sms).bind(san))
     if isinstance(scheduler, TLBAwareScheduler):
         san.register(StatusTableChecker(scheduler))
-    if uvm is not None and uvm.mosaic is not None:
-        san.register(MosaicChecker(uvm))
+    for uvm in uvms:
+        if uvm.mosaic is not None:
+            san.register(MosaicChecker(uvm))
 
 
 def run_kernel(

@@ -1,13 +1,18 @@
 """Multi-tenant MIG-style co-scheduling, per-tenant translation, and
 isolation metrics (DESIGN.md §12).
 
+The machine comes from the one builder, :func:`repro.system.build_gpu`;
+a spec only swaps in the tenant-aware parts
+(:class:`~repro.tenancy.machine.TenantParts`).
+
 Quickstart::
 
-    from repro.tenancy import TenancySpec, PartitionMode, build_tenant_gpu
+    from repro import build_gpu
+    from repro.tenancy import TenancySpec, PartitionMode
     from repro.experiments.configs import get_config
 
     spec = TenancySpec(mix=("bfs", "gemm"), mode=PartitionMode.SUB_ENTRY)
-    gpu = build_tenant_gpu(spec, get_config("baseline"))
+    gpu = build_gpu(get_config("baseline"), tenancy=spec)
     result = gpu.run_tenants()
     for t in result.tenants:
         print(t.benchmark, t.ipc, t.l1_tlb_hit_rate)
@@ -15,7 +20,7 @@ Quickstart::
 """
 
 from .compose import compose_tenants, relocate_kernel
-from .machine import MultiTenantGPU, build_tenant_gpu
+from .machine import MultiTenantGPU
 from .memory import TenantAffinityMemory
 from .metrics import TenancyResult, TenantMetrics, jain_fairness
 from .router import ASIDRouter
@@ -43,7 +48,6 @@ __all__ = [
     "Tenant",
     "TenantAffinityMemory",
     "TenantMetrics",
-    "build_tenant_gpu",
     "compose_tenants",
     "expand_mix",
     "jain_fairness",

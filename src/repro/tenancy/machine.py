@@ -1,8 +1,9 @@
-"""Multi-tenant machine assembly and the co-scheduling dispatch loop.
+"""Multi-tenant machine parts and the co-scheduling dispatch loop.
 
-``build_tenant_gpu`` mirrors :func:`repro.system.build_gpu` component
-for component, swapping in tenant-aware parts only where the partition
-mode demands them:
+:func:`repro.system.build_gpu` is the only machine builder.  Given a
+:class:`~repro.tenancy.tenant.TenancySpec` it wires the machine with a
+:class:`TenantParts`, which swaps in tenant-aware parts only where the
+partition mode demands them:
 
 ========================  =====================  =====================
 component                 exclusive              shared-tlb / sub-entry
@@ -16,8 +17,8 @@ page tables               private per tenant     private per tenant
 
 (* with one tenant the stock component is used unchanged — the
 one-tenant exclusive machine is assembled from exactly the same classes
-as :func:`repro.system.build_gpu`, which is what makes its results
-bit-identical to the single-tenant path.)
+as the single-tenant machine, which is what makes its results
+bit-identical to it.)
 
 The shared modes' TLBs are stock VPN-indexed LRU TLBs (ASID-tagged
 page entries, or :class:`~repro.translation.tlb.SubEntrySharedTLB`)
@@ -39,20 +40,12 @@ from typing import List, Optional
 from ..arch.config import GPUConfig
 from ..arch.gpu import GPU, RunResult
 from ..arch.sm import StreamingMultiprocessor
-from ..core.factory import build_l1_tlb
 from ..core.partitioned_tlb import TenantIndexPolicy
 from ..core.tb_scheduler import ExclusiveTenantScheduler, SharedTenantScheduler
 from ..engine.simulator import Simulator
-from ..memory.cache import Cache
-from ..memory.interconnect import Interconnect
-from ..memory.partition import PartitionedMemory
-from ..memory.subsystem import SMMemoryPath
-from ..telemetry.tracer import CAT_KERNEL
+from ..system import MachineParts
 from ..translation.pagesize import geometry_for
-from ..translation.service import SharedTranslationService
 from ..translation.tlb import SetAssociativeTLB, SubEntrySharedTLB, TenantAccounting
-from ..translation.uvm import UVMManager
-from ..translation.walker import WalkerPool
 from .compose import compose_tenants
 from .memory import TenantAffinityMemory
 from .metrics import TenancyResult, TenantMetrics
@@ -71,11 +64,11 @@ class _ComposedKernel:
     """Name-only stand-in for the combined run's "kernel" (result
     collection and the kernel-span tracer label need nothing else)."""
 
-    __slots__ = ("name", "total_tbs")
+    __slots__ = ("name", "num_tbs")
 
-    def __init__(self, name: str, total_tbs: int) -> None:
+    def __init__(self, name: str, num_tbs: int) -> None:
         self.name = name
-        self.total_tbs = total_tbs
+        self.num_tbs = num_tbs
 
 
 class MultiTenantGPU(GPU):
@@ -201,22 +194,7 @@ class MultiTenantGPU(GPU):
         """Launch every tenant, run to completion, split the metrics."""
         start = self.sim.now
         self.launch_tenants(occupancy_override)
-        self.sim.run()
-        if self._tbs_remaining != 0:
-            raise RuntimeError(
-                f"simulation drained with {self._tbs_remaining} TBs unfinished"
-            )
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.complete(
-                CAT_KERNEL, self._kernel.name, start, self.sim.now - start,
-                tracer.track("kernel"),
-                {"tbs": self._kernel.total_tbs, "sms": len(self.sms)},
-            )
-        combined = self._collect(self._kernel)
-        result = self._split_metrics(combined)
-        self._kernel = None
-        return result
+        return self._split_metrics(self._finish_run(start))
 
     def _tenant_l1_tallies(self, tid: int) -> tuple:
         """(hits, accesses) attributable to tenant ``tid``'s L1 probes."""
@@ -300,220 +278,103 @@ class _AnyPending:
         return any(self._queues)
 
 
-def _shared_tlb(
-    mode: PartitionMode,
-    num_entries: int,
-    associativity: int,
-    latency: float,
-    tag_shift: int,
-    num_tenants: int,
-    stats,
-    name: str,
-) -> SetAssociativeTLB:
-    """A shared-mode TLB: the mode's entry format (ASID-tagged pages or
-    per-ASID sub-entries) with tenant accounting attached."""
-    if mode is PartitionMode.SUB_ENTRY:
-        tlb = SubEntrySharedTLB(
-            num_entries, associativity, latency, tag_shift,
-            stats=stats, name=name,
-        )
-    else:
-        tlb = SetAssociativeTLB(
-            num_entries, associativity, latency, stats=stats, name=name
-        )
-    tlb.attach_accounting(TenantAccounting(num_tenants, tag_shift, stats=tlb.stats))
-    return tlb
+class TenantParts(MachineParts):
+    """The parts a :class:`TenancySpec` swaps into
+    :func:`repro.system.build_gpu`: one page table per tenant behind an
+    :class:`ASIDRouter`, the partition mode's TLBs, memory affinity and
+    scheduler, and a :class:`MultiTenantGPU` to run them."""
 
+    def __init__(self, spec: TenancySpec, config: GPUConfig) -> None:
+        check_shared_mode_config(spec.mode, config)
+        super().__init__(config)
+        self.mode = spec.mode
+        self.tenants = compose_tenants(spec)
+        self.num_spaces = len(self.tenants)
+        offset_bits = geometry_for(config.page_size).offset_bits
+        self.v_shift = vpn_tag_shift(offset_bits)
+        self.asid_byte_shift = PPN_TAG_SHIFT + offset_bits
+        self.router: Optional[ASIDRouter] = None
 
-def build_tenant_gpu(
-    spec: TenancySpec,
-    config: GPUConfig,
-    sim: Optional[Simulator] = None,
-    record_tlb_trace: bool = False,
-    tenants: Optional[List[Tenant]] = None,
-) -> MultiTenantGPU:
-    """Assemble a multi-tenant GPU for ``spec`` (mirrors ``build_gpu``).
+    @property
+    def _sliced(self) -> bool:
+        """Exclusive mode with tenants to slice storage between."""
+        return self.mode is PartitionMode.EXCLUSIVE and self.num_spaces > 1
 
-    ``tenants`` overrides the composed workloads (tests use this to
-    inject hand-built kernels); by default the spec's mix is composed
-    through the workload registry.
-    """
-    check_shared_mode_config(spec.mode, config)
-    if sim is None:
-        sim = Simulator()
-    if tenants is None:
-        tenants = compose_tenants(spec)
-    n = len(tenants)
-    mode = spec.mode
-    geometry = geometry_for(config.page_size)
-    v_shift = vpn_tag_shift(geometry.offset_bits)
-    asid_byte_shift = PPN_TAG_SHIFT + geometry.offset_bits
-    tracer = sim.tracer
-    if tracer.enabled:
-        tracer.track("kernel")
-        tracer.track("scheduler")
-        tracer.track("L2 TLB")
-        for walker_id in range(config.num_walkers):
-            tracer.track(f"walker{walker_id}")
-    clock = lambda: sim.queue.now  # noqa: E731 — cycle clock for untimed parts
+    def walk_target(self, uvms) -> ASIDRouter:
+        for tenant, uvm in zip(self.tenants, uvms):
+            tenant.uvm = uvm
+        self.router = ASIDRouter(uvms, self.v_shift)
+        return self.router
 
-    # Private translation per tenant, one router facing the walkers.
-    per_tenant_memory = (
-        config.gpu_memory_bytes // n
-        if config.gpu_memory_bytes is not None
-        else None
-    )
-    uvms = []
-    for tenant in tenants:
-        uvm = UVMManager(
-            geometry=geometry,
-            policy=config.allocation_policy,
-            far_fault_latency=config.far_fault_latency,
-            gpu_memory_bytes=per_tenant_memory,
-        )
-        tenant.uvm = uvm
-        uvms.append(uvm)
-    router = ASIDRouter(uvms, v_shift)
-    walkers = WalkerPool(
-        router,
-        num_walkers=config.num_walkers,
-        walk_latency=config.walk_latency,
-        stats=sim.stats.group("walkers"),
-    )
+    def vpn_tag(self, space: int) -> int:
+        return space << self.v_shift
 
-    # Shared L2 TLB, per partition mode.
-    l2_sets = config.l2_tlb_entries // config.l2_tlb_assoc
-    if mode is not PartitionMode.EXCLUSIVE:
-        l2_tlb = _shared_tlb(
-            mode, config.l2_tlb_entries, config.l2_tlb_assoc,
-            config.l2_tlb_latency, v_shift, n,
-            stats=sim.stats.group("l2_tlb"), name="l2_tlb",
-        )
-    elif n > 1:
-        l2_tlb = SetAssociativeTLB(
-            config.l2_tlb_entries, config.l2_tlb_assoc, config.l2_tlb_latency,
-            policy=TenantIndexPolicy(l2_sets, n, v_shift),
-            stats=sim.stats.group("l2_tlb"), name="l2_tlb",
-        )
-    else:
-        # one-tenant exclusive: the stock L2, bit-identical wiring
-        l2_tlb = SetAssociativeTLB(
-            config.l2_tlb_entries, config.l2_tlb_assoc, config.l2_tlb_latency,
-            stats=sim.stats.group("l2_tlb"), name="l2_tlb",
-        )
-    translation = SharedTranslationService(
-        sim, l2_tlb, walkers, port_interval=config.l2_tlb_port_interval
-    )
-    if tracer.enabled:
-        l2_tlb.bind_tracer(tracer, clock, tracer.track("L2 TLB"))
-        walkers.bind_tracer(
-            tracer,
-            tuple(
-                tracer.track(f"walker{walker_id}")
-                for walker_id in range(config.num_walkers)
-            ),
-        )
-
-    # Shared data-memory system; NPS-style affinity under exclusive.
-    interconnect = Interconnect(
-        config.num_sms,
-        traversal_latency=config.noc_latency,
-        injection_interval=config.noc_injection_interval,
-        stats=sim.stats.group("interconnect"),
-    )
-    partition_kwargs = dict(
-        num_partitions=config.num_partitions,
-        line_bytes=config.line_bytes,
-        registry=sim.stats,
-        l2_slice_bytes=config.l2_slice_bytes,
-        l2_associativity=config.l2_cache_assoc,
-        l2_latency=config.l2_cache_latency,
-        dram_latency=config.dram_latency,
-        dram_interval=config.dram_interval,
-    )
-    if mode is PartitionMode.EXCLUSIVE and n > 1:
-        partitions = TenantAffinityMemory(n, asid_byte_shift, **partition_kwargs)
-    else:
-        partitions = PartitionedMemory(**partition_kwargs)
-
-    # Per-SM private structures.
-    sms = []
-    for sm_id in range(config.num_sms):
-        stats = sim.stats.group(f"sm{sm_id}_l1tlb")
-        if mode is PartitionMode.EXCLUSIVE:
-            l1_tlb = build_l1_tlb(config, stats=stats, name=f"sm{sm_id}_l1tlb")
+    def _shared_tlb(self, num_entries, associativity, latency, stats, name):
+        """A shared-mode TLB: the mode's entry format (ASID-tagged pages
+        or per-ASID sub-entries) with tenant accounting attached."""
+        if self.mode is PartitionMode.SUB_ENTRY:
+            tlb = SubEntrySharedTLB(
+                num_entries, associativity, latency, self.v_shift,
+                stats=stats, name=name,
+            )
         else:
-            l1_tlb = _shared_tlb(
-                mode, config.l1_tlb_entries, config.l1_tlb_assoc,
-                config.l1_tlb_latency, v_shift, n,
-                stats=stats, name=f"sm{sm_id}_l1tlb",
+            tlb = SetAssociativeTLB(
+                num_entries, associativity, latency, stats=stats, name=name
             )
-        if tracer.enabled:
-            l1_tlb.bind_tracer(tracer, clock, tracer.track(f"SM{sm_id} L1 TLB"))
-        l1_cache = Cache(
-            config.l1_cache_bytes,
-            config.l1_cache_assoc,
-            config.line_bytes,
-            stats=sim.stats.group(f"sm{sm_id}_l1cache"),
-            name=f"sm{sm_id}_l1cache",
+        tlb.attach_accounting(
+            TenantAccounting(self.num_spaces, self.v_shift, stats=tlb.stats)
         )
-        memory_path = SMMemoryPath(
-            sim,
-            sm_id,
-            l1_cache,
-            interconnect,
-            partitions,
-            l1_latency=config.l1_cache_latency,
-            stats=sim.stats.group(f"sm{sm_id}_mem"),
-        )
-        sms.append(
-            StreamingMultiprocessor(
-                sim,
-                sm_id,
-                config,
-                geometry,
-                l1_tlb,
-                translation,
-                memory_path,
-                on_tb_finished=lambda sm, tb: None,  # GPU rebinds this
-                record_tlb_trace=record_tlb_trace,
+        return tlb
+
+    def l2_tlb(self, stats) -> SetAssociativeTLB:
+        config = self.config
+        if self.mode is not PartitionMode.EXCLUSIVE:
+            return self._shared_tlb(
+                config.l2_tlb_entries, config.l2_tlb_assoc,
+                config.l2_tlb_latency, stats, "l2_tlb",
             )
+        if not self._sliced:
+            return super().l2_tlb(stats)
+        return SetAssociativeTLB(
+            config.l2_tlb_entries, config.l2_tlb_assoc, config.l2_tlb_latency,
+            policy=TenantIndexPolicy(
+                config.l2_tlb_entries // config.l2_tlb_assoc,
+                self.num_spaces,
+                self.v_shift,
+            ),
+            stats=stats, name="l2_tlb",
         )
 
-    if config.gpu_memory_bytes is not None:
-        # TLB shootdown on page eviction, re-tagged into the evicting
-        # tenant's VPN space so only that tenant's entries die.
-        def _make_shootdown(asid: int):
-            tag = asid << v_shift
-
-            def _shootdown(local_vpn: int) -> None:
-                vpn = tag | local_vpn
-                l2_tlb.invalidate(vpn)
-                for sm in sms:
-                    sm.l1_tlb.invalidate(vpn)
-
-            return _shootdown
-
-        for asid, uvm in enumerate(uvms):
-            uvm.invalidate_hook = _make_shootdown(asid)
-
-    if mode is PartitionMode.EXCLUSIVE:
-        scheduler = ExclusiveTenantScheduler(n, config.num_sms, config.tb_scheduler)
-    else:
-        scheduler = SharedTenantScheduler(config.num_sms, config.tb_scheduler)
-    scheduler.bind_telemetry(tracer, clock)
-    if sim.sampler is not None:
-        sim.sampler.add_probe(
-            "resident_tbs", lambda: sum(len(sm.resident) for sm in sms)
+    def l1_tlb(self, stats, name: str) -> SetAssociativeTLB:
+        if self.mode is PartitionMode.EXCLUSIVE:
+            return super().l1_tlb(stats, name)
+        config = self.config
+        return self._shared_tlb(
+            config.l1_tlb_entries, config.l1_tlb_assoc,
+            config.l1_tlb_latency, stats, name,
         )
-    gpu = MultiTenantGPU(
-        sim, config, geometry, sms, scheduler, l2_tlb, walkers, partitions,
-        tenants=tenants, router=router, mode=mode,
-    )
-    if sim.sanitizer is not None:
+
+    def partitions(self, **kwargs):
+        if self._sliced:
+            return TenantAffinityMemory(
+                self.num_spaces, self.asid_byte_shift, **kwargs
+            )
+        return super().partitions(**kwargs)
+
+    def scheduler(self):
+        config = self.config
+        if self.mode is PartitionMode.EXCLUSIVE:
+            return ExclusiveTenantScheduler(
+                self.num_spaces, config.num_sms, config.tb_scheduler
+            )
+        return SharedTenantScheduler(config.num_sms, config.tb_scheduler)
+
+    def machine(self, *parts) -> MultiTenantGPU:
+        return MultiTenantGPU(
+            *parts, tenants=self.tenants, router=self.router, mode=self.mode
+        )
+
+    def register_checkers(self, san, gpu: MultiTenantGPU) -> None:
         from ..sanitizer import TenantIsolationChecker
-        from ..system import _register_checkers
 
-        _register_checkers(sim, sms, l2_tlb, walkers, translation, scheduler)
-        sim.sanitizer.register(TenantIsolationChecker(gpu))
-    return gpu
+        san.register(TenantIsolationChecker(gpu))

@@ -11,7 +11,7 @@ sanitizer tags, and the CLI path.
 import pytest
 
 from repro.engine.errors import ConfigError, SanitizerError, WorkloadError
-from repro.experiments.configs import get_config
+from repro.experiments.configs import CONFIGS, get_config
 from repro.sanitizer.core import SANITIZE_INJECT_ENV
 from repro.sanitizer.selfcheck import suite_tenancy_identity
 from repro.system import build_gpu
@@ -21,7 +21,6 @@ from repro.tenancy import (
     PPN_TAG_SHIFT,
     PartitionMode,
     TenancySpec,
-    build_tenant_gpu,
     expand_mix,
     jain_fairness,
     parse_partition_mode,
@@ -34,7 +33,7 @@ def _run_tenants(mix, mode, config="baseline", **spec_kwargs):
     spec = TenancySpec(
         mix=mix, mode=mode, scale="micro", **spec_kwargs
     )
-    gpu = build_tenant_gpu(spec, get_config(config))
+    gpu = build_gpu(get_config(config), tenancy=spec)
     return gpu.run_tenants()
 
 
@@ -93,7 +92,7 @@ class TestRelocation:
 # The identity gate (the load-bearing metamorphic property)
 # ---------------------------------------------------------------------- #
 class TestIdentity:
-    @pytest.mark.parametrize("config", ["baseline", "partition_sharing"])
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
     def test_one_tenant_exclusive_is_byte_identical(self, config):
         kernel = make_benchmark("bfs", scale="micro")
         base = build_gpu(get_config(config)).run(kernel)
@@ -152,7 +151,7 @@ class TestMultiTenant:
         spec = TenancySpec(
             mix=("bfs", "gemm"), mode=PartitionMode.EXCLUSIVE, scale="micro"
         )
-        gpu = build_tenant_gpu(spec, get_config("baseline"))
+        gpu = build_gpu(get_config("baseline"), tenancy=spec)
         gpu.run_tenants()
         sched = gpu.scheduler
         slices = [sched.sm_slice(t) for t in range(2)]
@@ -195,7 +194,7 @@ class TestIsolationSanitizer:
             mix=("bfs", "gemm"), mode=mode, scale="micro"
         )
         sim = Simulator(sanitizer=Sanitizer.make("strict"))
-        gpu = build_tenant_gpu(spec, get_config("baseline"), sim=sim)
+        gpu = build_gpu(get_config("baseline"), sim=sim, tenancy=spec)
         return gpu
 
     def test_cross_tlb_injection_detected(self, monkeypatch):
@@ -214,6 +213,38 @@ class TestIsolationSanitizer:
             gpu.run_tenants()
         assert err.value.tag == "tenant.asid_leak"
 
+    def test_mosaic_overlap_injection_detected_on_one_tenant(self, monkeypatch):
+        """The tenant machine registers a MosaicChecker per tenant UVM,
+        like the single-tenant machine does for its one UVM."""
+        monkeypatch.setenv(SANITIZE_INJECT_ENV, "alloc.mosaic_overlap")
+        from repro.engine.simulator import Simulator
+        from repro.sanitizer.core import Sanitizer
+
+        spec = TenancySpec(
+            mix=("bfs",), mode=PartitionMode.EXCLUSIVE, scale="micro"
+        )
+        sim = Simulator(sanitizer=Sanitizer.make("strict"))
+        gpu = build_gpu(get_config("mosaic"), sim=sim, tenancy=spec)
+        with pytest.raises(SanitizerError) as err:
+            gpu.run_tenants()
+        assert err.value.tag == "alloc.mosaic_overlap"
+
+    def test_multi_tenant_mosaic_checks_every_tenant_uvm(self, monkeypatch):
+        monkeypatch.delenv(SANITIZE_INJECT_ENV, raising=False)
+        from repro.engine.simulator import Simulator
+        from repro.sanitizer.core import Sanitizer
+
+        spec = TenancySpec(
+            mix=("bfs", "gemm"), mode=PartitionMode.EXCLUSIVE, scale="micro"
+        )
+        sim = Simulator(sanitizer=Sanitizer.make("strict"))
+        gpu = build_gpu(get_config("mosaic"), sim=sim, tenancy=spec)
+        names = sim.sanitizer.checker_names
+        assert names.count("MosaicChecker") == 2
+        assert names[-1] == "TenantIsolationChecker"
+        result = gpu.run_tenants()
+        assert "uvm" in result.combined.stats
+
     @pytest.mark.parametrize("mode", list(PartitionMode))
     def test_clean_runs_pass_strict_sweeps(self, mode, monkeypatch):
         monkeypatch.delenv(SANITIZE_INJECT_ENV, raising=False)
@@ -222,7 +253,7 @@ class TestIsolationSanitizer:
 
         spec = TenancySpec(mix=("bfs", "gemm"), mode=mode, scale="micro")
         sim = Simulator(sanitizer=Sanitizer.make("strict"))
-        gpu = build_tenant_gpu(spec, get_config("baseline"), sim=sim)
+        gpu = build_gpu(get_config("baseline"), sim=sim, tenancy=spec)
         result = gpu.run_tenants()
         assert result.combined.tbs_completed > 0
 
@@ -330,7 +361,7 @@ class TestSurface:
         )
         for mode in (PartitionMode.SHARED_TLB, PartitionMode.SUB_ENTRY):
             with pytest.raises(ConfigError, match="l1_tlb_replacement"):
-                build_tenant_gpu(TenancySpec(("bfs", "gemm"), mode), fifo)
+                build_gpu(fifo, tenancy=TenancySpec(("bfs", "gemm"), mode))
         # exclusive mode builds the configured L1 TLB, so it accepts both
         check_shared_mode_config(PartitionMode.EXCLUSIVE, fifo)
         check_shared_mode_config(
