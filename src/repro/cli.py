@@ -86,7 +86,7 @@ from .engine.errors import (
 )
 from .engine.faults import FaultPlan
 from .engine.interrupt import GracefulInterrupt
-from .experiments.configs import CONFIGS
+from .experiments.configs import CONFIGS, get_config
 from .experiments.runner import ExperimentRunner
 from .workloads import BENCHMARKS, SCALES, TABLE2
 
@@ -128,10 +128,10 @@ def _add_exec_group(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--parallel", type=int, default=1, metavar="N",
-        help="compare --configs: simulate up to N configs concurrently "
+        help="compare and report: simulate up to N cells concurrently "
              "in supervised subprocess workers (results stay "
-             "deterministic, integrated in submission order); run and "
-             "report simulate in-process and ignore it (default: 1)",
+             "deterministic, integrated in submission order); run "
+             "simulates one cell and ignores it (default: 1)",
     )
 
 
@@ -197,7 +197,6 @@ def _drain_runner(
 def _run_tenancy(args: argparse.Namespace) -> int:
     """``repro run --tenants N``: co-schedule N tenants on one GPU and
     print per-tenant isolation/interference metrics."""
-    from .experiments.configs import get_config
     from .experiments.tenancy import run_tenancy_cell
     from .telemetry import TelemetrySettings
     from .tenancy import TenancySpec, expand_mix, parse_partition_mode
@@ -306,27 +305,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
         registry = default_registry()
         names = [spec or "registry-default" for spec in args.specs]
-        cells = [
-            (name, registry.resolve(spec))
-            for name, spec in zip(names, args.specs)
-        ]
+        configs = [registry.resolve(spec) for spec in args.specs]
     else:
         names = list(args.configs)
-        cells = None
+        configs = [get_config(name) for name in names]
     base = None
     print(_COMPARE_HEADER)
     with GracefulInterrupt() as interrupt:
         i = 0
         try:
-            if runner.parallel > 1 and cells is None:
-                runner.prefetch([(args.benchmark, n) for n in names])
+            if runner.parallel > 1:
+                runner.prefetch([
+                    runner.make_spec(args.benchmark, config, name)
+                    for name, config in zip(names, configs)
+                ])
             for i, name in enumerate(names):
-                if cells is not None:
-                    result = runner.run_config(
-                        args.benchmark, cells[i][1], name
-                    )
-                else:
-                    result = runner.run(args.benchmark, name)
+                result = runner.run_config(args.benchmark, configs[i], name)
                 if base is None:
                     base = result.cycles
                 print(_compare_row(name, result, base))

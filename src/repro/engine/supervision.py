@@ -158,10 +158,10 @@ def simulate_cell(spec: CellSpec) -> Any:
     so the parent can merge per-cell files after the sweep.
     """
     from ..system import build_gpu
-    from ..workloads import make_benchmark
+    from ..workloads import cached_benchmark
 
     try:
-        kernel = make_benchmark(spec.benchmark, scale=spec.scale, seed=spec.seed)
+        kernel = cached_benchmark(spec.benchmark, spec.scale, spec.seed)
     except SimulationError:
         raise
     except ValueError as exc:

@@ -24,6 +24,8 @@ from ..arch.config import (
 )
 from ..characterization import warp_reuse_summary
 from ..engine.errors import SimulationError, classify
+from ..engine.supervision import CellSpec
+from .configs import get_config
 from .runner import (
     ExperimentRunner,
     ShapeCheck,
@@ -84,24 +86,30 @@ class SharingAblationResult:
         ]
 
 
+def sharing_ablation_cells(runner: ExperimentRunner) -> List[CellSpec]:
+    configs = {"baseline": get_config("baseline")}
+    for policy in SharingPolicyKind:
+        configs[f"sharing_{policy.value}"] = BASELINE_CONFIG.replace(
+            tb_scheduler=TBSchedulerKind.TLB_AWARE,
+            l1_tlb_mode=L1TLBMode.PARTITIONED_SHARING,
+            sharing_policy=policy,
+        )
+    return runner.cells_for(configs)
+
+
 def run_sharing_ablation(runner: ExperimentRunner) -> SharingAblationResult:
+    results = runner.results(sharing_ablation_cells(runner))
     times: Dict[str, Dict[str, float]] = {}
     hits: Dict[str, Dict[str, float]] = {}
     failures: Dict[str, str] = {}
     for b in runner.benchmarks:
-        base = runner.run(b, "baseline")
+        base = results[b, "baseline"]
         if not collect_failures(failures, b, base):
             continue
-        per_policy = {}
-        for policy in SharingPolicyKind:
-            config = BASELINE_CONFIG.replace(
-                tb_scheduler=TBSchedulerKind.TLB_AWARE,
-                l1_tlb_mode=L1TLBMode.PARTITIONED_SHARING,
-                sharing_policy=policy,
-            )
-            per_policy[policy.value] = runner.run_config(
-                b, config, f"sharing_{policy.value}"
-            )
+        per_policy = {
+            policy.value: results[b, f"sharing_{policy.value}"]
+            for policy in SharingPolicyKind
+        }
         if not collect_failures(failures, b, *per_policy.values()):
             continue
         times[b] = {
@@ -146,19 +154,33 @@ class GeometrySweepResult:
         ]
 
 
-def run_geometry_sweep(
-    runner: ExperimentRunner,
-    geometries=((64, 4), (128, 4), (256, 4), (512, 8)),
-) -> GeometrySweepResult:
-    hit_rates = {}
-    failures: Dict[str, str] = {}
+#: L1 TLB (entries, associativity) points of the geometry sweep
+GEOMETRIES = ((64, 4), (128, 4), (256, 4), (512, 8))
+
+
+def geometry_sweep_cells(
+    runner: ExperimentRunner, geometries=GEOMETRIES
+) -> List[CellSpec]:
+    """Geometry-major: every benchmark at one geometry, then the next."""
+    specs = []
     for entries, assoc in geometries:
         config = BASELINE_CONFIG.replace(
             l1_tlb_entries=entries, l1_tlb_assoc=assoc
         )
+        specs += runner.cells_for({f"geo_{entries}x{assoc}": config})
+    return specs
+
+
+def run_geometry_sweep(
+    runner: ExperimentRunner, geometries=GEOMETRIES
+) -> GeometrySweepResult:
+    results = runner.results(geometry_sweep_cells(runner, geometries))
+    hit_rates = {}
+    failures: Dict[str, str] = {}
+    for entries, assoc in geometries:
         rates = []
         for b in runner.benchmarks:
-            result = runner.run_config(b, config, f"geo_{entries}x{assoc}")
+            result = results[b, f"geo_{entries}x{assoc}"]
             if not collect_failures(failures, b, result):
                 continue
             rates.append(result.avg_l1_tlb_hit_rate)
@@ -251,19 +273,26 @@ class WarpSchedulerAblationResult:
         ]
 
 
+def warp_scheduler_cells(runner: ExperimentRunner) -> List[CellSpec]:
+    return runner.cells_for({
+        "baseline": get_config("baseline"),
+        "warp_aware": BASELINE_CONFIG.replace(
+            warp_scheduler=WarpSchedulerKind.TRANSLATION_AWARE
+        ),
+    })
+
+
 def run_warp_scheduler_ablation(
     runner: ExperimentRunner,
 ) -> WarpSchedulerAblationResult:
+    results = runner.results(warp_scheduler_cells(runner))
     times: Dict[str, float] = {}
     hits_gto: Dict[str, float] = {}
     hits_aware: Dict[str, float] = {}
     failures: Dict[str, str] = {}
-    aware_cfg = BASELINE_CONFIG.replace(
-        warp_scheduler=WarpSchedulerKind.TRANSLATION_AWARE
-    )
     for b in runner.benchmarks:
-        base = runner.run(b, "baseline")
-        aware = runner.run_config(b, aware_cfg, "warp_aware")
+        base = results[b, "baseline"]
+        aware = results[b, "warp_aware"]
         if not collect_failures(failures, b, base, aware):
             continue
         times[b] = aware.cycles / base.cycles

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from ..engine.supervision import CellSpec
 from .runner import (
     ExperimentRunner,
     ShapeCheck,
@@ -109,15 +110,20 @@ class Fig10Result:
         ]
 
 
+def cells(runner: ExperimentRunner) -> List[CellSpec]:
+    return runner.named_cells(("baseline", "partition", "partition_sharing"))
+
+
 def run(runner: ExperimentRunner) -> Fig10Result:
+    results = runner.results(cells(runner))
     baseline: Dict[str, float] = {}
     partition: Dict[str, float] = {}
     sharing: Dict[str, float] = {}
     failures: Dict[str, str] = {}
     for b in runner.benchmarks:
-        rb = runner.run(b, "baseline")
-        rp = runner.run(b, "partition")
-        rs = runner.run(b, "partition_sharing")
+        rb = results[b, "baseline"]
+        rp = results[b, "partition"]
+        rs = results[b, "partition_sharing"]
         if not collect_failures(failures, b, rb, rp, rs):
             continue
         baseline[b] = rb.avg_l1_tlb_hit_rate

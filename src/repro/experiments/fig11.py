@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from ..engine.supervision import CellSpec
 from .runner import (
     ExperimentRunner,
     ShapeCheck,
@@ -98,17 +99,24 @@ class Fig11Result:
         ]
 
 
+def cells(runner: ExperimentRunner) -> List[CellSpec]:
+    return runner.named_cells(
+        ("baseline", "sched", "partition", "partition_sharing")
+    )
+
+
 def run(runner: ExperimentRunner) -> Fig11Result:
+    results = runner.results(cells(runner))
     sched: Dict[str, float] = {}
     partition: Dict[str, float] = {}
     sharing: Dict[str, float] = {}
     base: Dict[str, float] = {}
     failures: Dict[str, str] = {}
     for b in runner.benchmarks:
-        rb = runner.run(b, "baseline")
-        rsc = runner.run(b, "sched")
-        rp = runner.run(b, "partition")
-        rsh = runner.run(b, "partition_sharing")
+        rb = results[b, "baseline"]
+        rsc = results[b, "sched"]
+        rp = results[b, "partition"]
+        rsh = results[b, "partition_sharing"]
         if not collect_failures(failures, b, rb, rsc, rp, rsh):
             continue
         base[b] = rb.cycles

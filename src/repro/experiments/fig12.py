@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from ..engine.supervision import CellSpec
 from .runner import (
     ExperimentRunner,
     ShapeCheck,
@@ -56,14 +57,19 @@ class Fig12Result:
         ]
 
 
+def cells(runner: ExperimentRunner) -> List[CellSpec]:
+    return runner.named_cells(("compression", "comp_ours"))
+
+
 def run(runner: ExperimentRunner) -> Fig12Result:
+    results = runner.results(cells(runner))
     speedup = {}
     comp_cycles = {}
     combined_cycles = {}
     failures: Dict[str, str] = {}
     for b in runner.benchmarks:
-        rc = runner.run(b, "compression")
-        ro = runner.run(b, "comp_ours")
+        rc = results[b, "compression"]
+        ro = results[b, "comp_ours"]
         if not collect_failures(failures, b, rc, ro):
             continue
         comp_cycles[b] = rc.cycles

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from ..engine.supervision import CellSpec
 from .runner import (
     ExperimentRunner,
     ShapeCheck,
@@ -73,13 +74,18 @@ class Fig2Result:
         ]
 
 
+def cells(runner: ExperimentRunner) -> List[CellSpec]:
+    return runner.named_cells(("baseline", "l1_256"))
+
+
 def run(runner: ExperimentRunner) -> Fig2Result:
+    results = runner.results(cells(runner))
     hit64 = {}
     hit256 = {}
     failures: Dict[str, str] = {}
     for b in runner.benchmarks:
-        r64 = runner.run(b, "baseline")
-        r256 = runner.run(b, "l1_256")
+        r64 = results[b, "baseline"]
+        r256 = results[b, "l1_256"]
         if not collect_failures(failures, b, r64, r256):
             continue
         hit64[b] = r64.avg_l1_tlb_hit_rate

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..engine.stats import Histogram
+from ..engine.supervision import CellSpec
 from ..characterization import cdf_points, fraction_within, interleaved_distances
 from .runner import ExperimentRunner, ShapeCheck, collect_failures, failed_rows
 
@@ -58,11 +59,16 @@ class Fig5Result:
         ]
 
 
+def cells(runner: ExperimentRunner) -> List[CellSpec]:
+    return runner.named_cells(("baseline",), record_tlb_trace=True)
+
+
 def run(runner: ExperimentRunner) -> Fig5Result:
+    results = runner.results(cells(runner))
     histograms = {}
     failures: Dict[str, str] = {}
     for b in runner.benchmarks:
-        result = runner.run(b, "baseline", record_tlb_trace=True)
+        result = results[b, "baseline"]
         if not collect_failures(failures, b, result):
             continue
         histograms[b] = interleaved_distances(result.tlb_traces or [])

@@ -14,9 +14,11 @@ from typing import Dict, List
 
 from ..engine.errors import SimulationError, classify
 from ..engine.stats import Histogram
+from ..engine.supervision import CellSpec
 from ..characterization import fraction_within, isolated_distances
 from .runner import ExperimentRunner, ShapeCheck, failed_rows
 from .fig5 import L1_CAPACITY, Fig5Result
+from .fig5 import cells as fig5_cells
 
 
 @dataclass
@@ -67,6 +69,11 @@ class Fig6Result:
                 f"strictly-shorter: {strictly}",
             ),
         ]
+
+
+def cells(runner: ExperimentRunner) -> List[CellSpec]:
+    """Fig 5's cells: the interfered distances come from its result."""
+    return fig5_cells(runner)
 
 
 def run(runner: ExperimentRunner, fig5: Fig5Result = None) -> Fig6Result:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from ..engine.supervision import CellSpec
 from ..translation.pagesize import fragmentation_from_addresses
 from .runner import (
     ExperimentRunner,
@@ -90,16 +91,21 @@ class LargePageResult:
         ]
 
 
+def cells(runner: ExperimentRunner) -> List[CellSpec]:
+    return runner.named_cells(("baseline", "huge_baseline", "huge_ours"))
+
+
 def run(runner: ExperimentRunner) -> LargePageResult:
+    results = runner.results(cells(runner))
     hit4 = {}
     hit2 = {}
     ours_time = {}
     util = {}
     failures: Dict[str, str] = {}
     for b in runner.benchmarks:
-        base = runner.run(b, "baseline")
-        huge_base = runner.run(b, "huge_baseline")
-        huge_ours = runner.run(b, "huge_ours")
+        base = results[b, "baseline"]
+        huge_base = results[b, "huge_baseline"]
+        huge_ours = results[b, "huge_ours"]
         if not collect_failures(failures, b, base, huge_base, huge_ours):
             continue
         hit4[b] = base.avg_l1_tlb_hit_rate

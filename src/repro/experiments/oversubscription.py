@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from ..arch.config import BASELINE_CONFIG, L1TLBMode, TBSchedulerKind
+from ..engine.supervision import CellSpec
 from ..translation.address import PAGE_2M, PAGE_4K
 from ..translation.registry import resolve_spec
 from ..workloads import traced_footprint_bytes
@@ -32,6 +33,12 @@ from .runner import (
     failed_rows,
     geomean,
 )
+
+#: benchmarks the study caps (a subset keeps it affordable)
+OVERSUB_BENCHMARKS = ("bfs", "nw", "atax", "mvt")
+
+#: the registry mechanism of the Mosaic column
+MOSAIC_SPEC = "pagesize=mosaic,compress=contiguity"
 
 #: far-fault cost used for this study (the headline runs use 0 =
 #: steady state); ~20 us at 1.4 GHz is a conservative migration cost,
@@ -102,22 +109,17 @@ class OversubscriptionResult:
         ]
 
 
-def run(
+def cells(
     runner: ExperimentRunner,
     capacity_fraction: float = 0.5,
-    benchmarks=("bfs", "nw", "atax", "mvt"),
-) -> OversubscriptionResult:
-    slowdown = {}
-    fault_rate = {}
-    ours_speedup = {}
-    mosaic_speedup = {}
-    mosaic_utilization = {}
-    failures: Dict[str, str] = {}
+    benchmarks=OVERSUB_BENCHMARKS,
+) -> List[CellSpec]:
+    """Four cells per benchmark, capped below its traced footprint."""
+    specs = []
     for b in benchmarks:
         if b not in runner.benchmarks:
             continue
-        kernel = runner.kernel(b)
-        footprint = traced_footprint_bytes(kernel)
+        footprint = traced_footprint_bytes(runner.kernel(b))
         cap = max(PAGE_4K * 64, int(footprint * capacity_fraction))
         uncapped_cfg = BASELINE_CONFIG.replace(
             far_fault_latency=FAR_FAULT_LATENCY
@@ -128,13 +130,41 @@ def run(
             l1_tlb_mode=L1TLBMode.PARTITIONED_SHARING,
         )
         # registry-resolved mechanism config, then the study's cap knobs
-        mosaic_cfg = resolve_spec("pagesize=mosaic,compress=contiguity").replace(
+        mosaic_cfg = resolve_spec(MOSAIC_SPEC).replace(
             far_fault_latency=FAR_FAULT_LATENCY, gpu_memory_bytes=cap
         )
-        uncapped = runner.run_config(b, uncapped_cfg, "oversub_uncapped")
-        capped = runner.run_config(b, capped_cfg, "oversub_capped")
-        ours = runner.run_config(b, ours_cfg, "oversub_ours")
-        mosaic = runner.run_config(b, mosaic_cfg, "oversub_mosaic")
+        specs += runner.cells_for(
+            {
+                "oversub_uncapped": uncapped_cfg,
+                "oversub_capped": capped_cfg,
+                "oversub_ours": ours_cfg,
+                "oversub_mosaic": mosaic_cfg,
+            },
+            benchmarks=(b,),
+        )
+    return specs
+
+
+def run(
+    runner: ExperimentRunner,
+    capacity_fraction: float = 0.5,
+    benchmarks=OVERSUB_BENCHMARKS,
+) -> OversubscriptionResult:
+    results = runner.results(cells(runner, capacity_fraction, benchmarks))
+    page_size = resolve_spec(MOSAIC_SPEC).page_size
+    slowdown = {}
+    fault_rate = {}
+    ours_speedup = {}
+    mosaic_speedup = {}
+    mosaic_utilization = {}
+    failures: Dict[str, str] = {}
+    for b in benchmarks:
+        if b not in runner.benchmarks:
+            continue
+        uncapped = results[b, "oversub_uncapped"]
+        capped = results[b, "oversub_capped"]
+        ours = results[b, "oversub_ours"]
+        mosaic = results[b, "oversub_mosaic"]
         if not collect_failures(failures, b, uncapped, capped, ours, mosaic):
             continue
         slowdown[b] = capped.cycles / uncapped.cycles
@@ -154,7 +184,7 @@ def run(
         )
         committed_bytes = live_regions * PAGE_2M
         mosaic_utilization[b] = (
-            resident * mosaic_cfg.page_size / committed_bytes
+            resident * page_size / committed_bytes
             if committed_bytes else 0.0
         )
     return OversubscriptionResult(

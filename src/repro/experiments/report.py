@@ -5,6 +5,12 @@ and Figs 2–6, 10–12 plus the large-page study, prints each alongside its
 shape checks (the paper's qualitative claims), and can write the whole
 thing as a markdown report (used to refresh EXPERIMENTS.md).
 
+The report is compiled into one cell plan: every section lists the
+cells it needs (its module's ``cells(runner)``), ``run_all`` simulates
+their union once — deduplicated by content, fanned out over
+``--parallel N`` supervised workers — and the sections then render
+from memo hits.
+
 The report is the degraded surface of the supervised execution layer:
 cells that fail terminally (livelock, timeout, crashed worker, bad
 config) render as ``FAILED(<reason>)`` rows instead of aborting the
@@ -18,10 +24,11 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..engine.errors import SimulationError, classify
 from ..engine.faults import FaultPlan
+from ..engine.supervision import CellSpec
 from ..workloads import BENCHMARKS, SCALES
 from . import (
     ablations,
@@ -40,7 +47,7 @@ from . import (
     zoo,
 )
 from .runner import ExperimentRunner, ShapeCheck, summarize_checks
-from .tables import format_table3, run_table2, table3_checks
+from .tables import Table3Result, run_table2
 
 
 @dataclass
@@ -66,6 +73,75 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
+def _no_cells(runner: ExperimentRunner) -> List[CellSpec]:
+    return []
+
+
+@dataclass(frozen=True)
+class Section:
+    """One report section.
+
+    ``cells`` lists the runner cells ``run`` will request, so the report
+    can simulate every section's cells as one plan before any section
+    renders; ``run`` returns a result with ``format_table()`` and
+    ``shape_checks()``.
+    """
+
+    experiment_id: str
+    title: str
+    run: Callable[[ExperimentRunner], Any]
+    cells: Callable[[ExperimentRunner], List[CellSpec]] = _no_cells
+
+
+#: every section of the report, in order
+SECTIONS: Tuple[Section, ...] = (
+    Section("Table II", "Benchmarks",
+            lambda runner: run_table2(
+                runner.scale, runner.seed, strict=runner.strict)),
+    Section("Table III", "Baseline configuration",
+            lambda runner: Table3Result()),
+    Section("Fig 2", "Baseline L1 TLB hit rates (64 vs 256 entries)",
+            fig2.run, fig2.cells),
+    Section("Fig 3", "Inter-TB translation reuse", fig3.run),
+    Section("Fig 4", "Intra-TB translation reuse", fig4.run),
+    Section("Fig 5", "Intra-TB reuse distance (with interference)",
+            fig5.run, fig5.cells),
+    Section("Fig 6", "Intra-TB reuse distance (interference removed)",
+            fig6.run, fig6.cells),
+    Section("Fig 10", "L1 TLB hit rates of the proposal",
+            fig10.run, fig10.cells),
+    Section("Fig 11", "Normalized execution time", fig11.run, fig11.cells),
+    Section("Fig 12", "Comparison with TLB compression",
+            fig12.run, fig12.cells),
+    Section("Large pages", "2MB-page study (§V)",
+            large_pages.run, large_pages.cells),
+    Section("Ext: oversubscription",
+            "GPU memory oversubscription (motivating UVM scenario)",
+            oversubscription.run, oversubscription.cells),
+    Section("Ext: sharing ablation",
+            "1-bit vs counter vs all-to-all set sharing (§IV-B discussion)",
+            ablations.run_sharing_ablation,
+            ablations.sharing_ablation_cells),
+    Section("Ext: geometry sweep", "L1 TLB capacity scaling (§III-B)",
+            ablations.run_geometry_sweep, ablations.geometry_sweep_cells),
+    Section("Ext: warp scheduling",
+            "translation-aware warp issue (future work)",
+            ablations.run_warp_scheduler_ablation,
+            ablations.warp_scheduler_cells),
+    Section("Ext: warp reuse", "warp-granularity reuse share (future work)",
+            ablations.run_warp_reuse),
+    Section("Ext: time-resolved",
+            "L1 TLB miss rate over time (telemetry sampler)",
+            timeseries.run, timeseries.cells),
+    Section("Ext: tenancy",
+            "multi-tenant isolation & interference (partition modes)",
+            tenancy.run, tenancy.cells),
+    Section("Ext: translation zoo",
+            "registry-generated mechanism ablation (policy zoo)",
+            zoo.run, zoo.cells),
+)
+
+
 def run_all(
     scale: str = "small",
     seed: int = 0,
@@ -82,10 +158,13 @@ def run_all(
 ) -> Tuple[List[ExperimentReport], ExperimentRunner]:
     """Regenerate every experiment.
 
-    Returns (one report per figure/table, the runner used) — the runner
-    exposes per-cell failures and checkpoint statistics for the caller.
-    By default the run is non-strict: failed cells degrade to
-    ``FAILED(<reason>)`` markers instead of raising.
+    Every section's cells are collected first, in section order, and
+    simulated as one plan (deduplicated by content, fanned out over
+    ``parallel`` supervised workers); the sections then render from
+    memo hits.  Returns (one report per figure/table, the runner used)
+    — the runner exposes per-cell failures and checkpoint statistics for
+    the caller.  By default the run is non-strict: failed cells degrade
+    to ``FAILED(<reason>)`` markers instead of raising.
     """
 
     def note(msg: str) -> None:
@@ -107,93 +186,48 @@ def run_all(
         )
     if runner.cells_restored:
         note(f"resumed {runner.cells_restored} cells from checkpoint")
-    reports: List[ExperimentReport] = []
 
-    def guarded(
-        exp_id: str, title: str, produce: Callable[[], ExperimentReport]
-    ) -> None:
-        """Run one experiment; degrade to a FAILED section when the
-        whole experiment (not just single cells) cannot complete."""
-        note(exp_id)
+    def failed(section: Section, exc: SimulationError) -> ExperimentReport:
+        """The whole experiment (not just single cells) could not
+        complete: degrade it to a FAILED section."""
+        if runner.strict:
+            raise exc
+        tag = classify(exc)
+        return ExperimentReport(
+            section.experiment_id,
+            section.title,
+            f"FAILED({tag}): {str(exc).splitlines()[0]}",
+            [ShapeCheck("experiment produced a result", False, tag)],
+            failure=tag,
+        )
+
+    plan: List[CellSpec] = []
+    unplanned: Dict[str, ExperimentReport] = {}
+    for section in SECTIONS:
         try:
-            reports.append(produce())
+            plan.extend(section.cells(runner))
         except SimulationError as exc:
-            if runner.strict:
-                raise
-            tag = classify(exc)
-            reports.append(
-                ExperimentReport(
-                    exp_id,
-                    title,
-                    f"FAILED({tag}): {str(exc).splitlines()[0]}",
-                    [ShapeCheck("experiment produced a result", False, tag)],
-                    failure=tag,
-                )
-            )
+            unplanned[section.experiment_id] = failed(section, exc)
+    distinct = len({spec.content_key for spec in plan})
+    note(f"plan: {len(plan)} cells, {distinct} distinct")
+    runner.prefetch(plan)
 
-    guarded(
-        "Table II",
-        "Benchmarks",
-        lambda: (
-            lambda t2: ExperimentReport(
-                "Table II", "Benchmarks", t2.format_table(), t2.shape_checks()
-            )
-        )(run_table2(scale, seed, strict=runner.strict)),
-    )
-    guarded(
-        "Table III",
-        "Baseline configuration",
-        lambda: ExperimentReport(
-            "Table III", "Baseline configuration", format_table3(),
-            table3_checks(),
-        ),
-    )
-
-    figures: List[Tuple[str, str, Callable]] = [
-        ("Fig 2", "Baseline L1 TLB hit rates (64 vs 256 entries)", fig2.run),
-        ("Fig 3", "Inter-TB translation reuse", fig3.run),
-        ("Fig 4", "Intra-TB translation reuse", fig4.run),
-        ("Fig 5", "Intra-TB reuse distance (with interference)", fig5.run),
-        ("Fig 6", "Intra-TB reuse distance (interference removed)", fig6.run),
-        ("Fig 10", "L1 TLB hit rates of the proposal", fig10.run),
-        ("Fig 11", "Normalized execution time", fig11.run),
-        ("Fig 12", "Comparison with TLB compression", fig12.run),
-        ("Large pages", "2MB-page study (§V)", large_pages.run),
-        ("Ext: oversubscription",
-         "GPU memory oversubscription (motivating UVM scenario)",
-         oversubscription.run),
-        ("Ext: sharing ablation",
-         "1-bit vs counter vs all-to-all set sharing (§IV-B discussion)",
-         ablations.run_sharing_ablation),
-        ("Ext: geometry sweep", "L1 TLB capacity scaling (§III-B)",
-         ablations.run_geometry_sweep),
-        ("Ext: warp scheduling",
-         "translation-aware warp issue (future work)",
-         ablations.run_warp_scheduler_ablation),
-        ("Ext: warp reuse",
-         "warp-granularity reuse share (future work)",
-         ablations.run_warp_reuse),
-        ("Ext: time-resolved",
-         "L1 TLB miss rate over time (telemetry sampler)",
-         timeseries.run),
-        ("Ext: tenancy",
-         "multi-tenant isolation & interference (partition modes)",
-         tenancy.run),
-        ("Ext: translation zoo",
-         "registry-generated mechanism ablation (policy zoo)",
-         zoo.run),
-    ]
-    for exp_id, title, run_fn in figures:
-        guarded(
-            exp_id,
-            title,
-            lambda run_fn=run_fn, exp_id=exp_id, title=title: (
-                lambda result: ExperimentReport(
-                    exp_id, title, result.format_table(),
+    reports: List[ExperimentReport] = []
+    for section in SECTIONS:
+        note(section.experiment_id)
+        report = unplanned.get(section.experiment_id)
+        if report is None:
+            try:
+                result = section.run(runner)
+                report = ExperimentReport(
+                    section.experiment_id,
+                    section.title,
+                    result.format_table(),
                     result.shape_checks(),
                 )
-            )(run_fn(runner)),
-        )
+            except SimulationError as exc:
+                report = failed(section, exc)
+        reports.append(report)
     runner.close()
     return reports, runner
 
@@ -277,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(bare flag means strict; 'off' overrides "
                              "REPRO_SANITIZE)")
     parser.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="accepted for symmetry with compare; no "
-                             "report section fans cells out, so the "
-                             "report simulates in-process (default: 1)")
+                        help="simulate the report's cell plan over up to "
+                             "N supervised subprocess workers (output "
+                             "stays byte-identical; default: 1)")
     return parser
 
 

@@ -27,10 +27,11 @@ of :mod:`repro.engine.supervision`:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -59,7 +60,7 @@ from ..telemetry import (
     TelemetrySettings,
     merge_traces,
 )
-from ..workloads import BENCHMARKS, make_benchmark
+from ..workloads import BENCHMARKS, cached_benchmark
 from .configs import get_config
 
 
@@ -97,7 +98,6 @@ class ExperimentRunner:
     #: supervised worker processes used by :meth:`prefetch`; 1 keeps
     #: every cell sequential and in-process (the default behaviour)
     parallel: int = 1
-    _kernels: Dict[str, Kernel] = field(default_factory=dict)
     _results: Dict[CellKey, RunResult] = field(default_factory=dict)
     _failed: Dict[CellKey, RunResult] = field(default_factory=dict)
     #: terminal failures keyed like results (inspect after a degraded run)
@@ -106,12 +106,21 @@ class ExperimentRunner:
     cells_simulated: int = 0
     #: cells restored from the on-disk checkpoint
     cells_restored: int = 0
+    #: cell requests (:meth:`run_config` calls), memo hits included
+    cells_requested: int = 0
+    #: most supervised workers one :meth:`prefetch` ran at once
+    workers: int = 1
+    #: wall seconds spent in :meth:`prefetch`
+    plan_wall_s: float = 0.0
 
     def __post_init__(self) -> None:
         self._started = time.monotonic()
         self._trace_parts: List[Tuple[str, str]] = []
         #: label -> (config hash, bound only by a restored record)
         self._labels: Dict[CellKey, Tuple[str, bool]] = {}
+        #: content keys of every cell handed to prefetch
+        self._planned: set = set()
+        self._kernels_before = cached_benchmark.generated
         if self.sanitize is not None:
             # fail fast on a bad mode string ("off" stays distinct from
             # None: it must override REPRO_SANITIZE inside workers)
@@ -145,11 +154,17 @@ class ExperimentRunner:
     # Workload construction
     # ------------------------------------------------------------------ #
     def kernel(self, benchmark: str) -> Kernel:
-        if benchmark not in self._kernels:
-            self._kernels[benchmark] = make_benchmark(
-                benchmark, scale=self.scale, seed=self.seed
-            )
-        return self._kernels[benchmark]
+        return cached_benchmark(benchmark, self.scale, self.seed)
+
+    @property
+    def cells_planned(self) -> int:
+        """Distinct cells (by content) handed to :meth:`prefetch`."""
+        return len(self._planned)
+
+    @property
+    def kernels_generated(self) -> int:
+        """Kernels this process generated since the runner was made."""
+        return cached_benchmark.generated - self._kernels_before
 
     # ------------------------------------------------------------------ #
     # Cell execution
@@ -189,24 +204,19 @@ class ExperimentRunner:
         ones.  A cell simulated before under any tag is not simulated
         again.
         """
-        spec = self._make_spec(
-            benchmark,
-            config,
-            tag,
-            record_tlb_trace=record_tlb_trace,
-            occupancy_override=occupancy_override,
-            sample_every=sample_every,
+        self.cells_requested += 1
+        return self._resolve(
+            self.make_spec(
+                benchmark,
+                config,
+                tag,
+                record_tlb_trace=record_tlb_trace,
+                occupancy_override=occupancy_override,
+                sample_every=sample_every,
+            )
         )
-        cached = self._cached(spec)
-        if cached is not None:
-            return cached
-        try:
-            result = self._execute(spec)
-        except SimulationError as exc:
-            return self._integrate(spec, exc)
-        return self._integrate(spec, result)
 
-    def _make_spec(
+    def make_spec(
         self,
         benchmark: str,
         config: GPUConfig,
@@ -216,18 +226,17 @@ class ExperimentRunner:
         sample_every: Optional[int] = None,
     ) -> CellSpec:
         """Build the :class:`CellSpec` for one cell and bind its label to
-        its config hash."""
+        its config hash.
+
+        With tracing on, the spec's trace path is the merged trace's; the
+        cell's own part file is named when it executes.
+        """
         if sample_every is None:
             sample_every = self.sample_every
-        cell_trace = None
-        if self.trace_path is not None:
-            cell_trace = (
-                f"{self.trace_path}.cell{len(self._trace_parts)}.part"
-            )
         telemetry = None
-        if cell_trace is not None or sample_every is not None:
+        if self.trace_path is not None or sample_every is not None:
             telemetry = TelemetrySettings(
-                trace_path=cell_trace, sample_every=sample_every
+                trace_path=self.trace_path, sample_every=sample_every
             )
         spec = CellSpec(
             benchmark=benchmark,
@@ -273,6 +282,77 @@ class ExperimentRunner:
             f"give it its own tag"
         )
 
+    def cells_for(
+        self,
+        configs: Dict[str, GPUConfig],
+        benchmarks: Optional[Sequence[str]] = None,
+        **flags,
+    ) -> List[CellSpec]:
+        """Specs for every (benchmark, tag -> config) pair, benchmark-major
+        (``benchmarks`` defaults to the runner's)."""
+        return [
+            self.make_spec(b, config, tag, **flags)
+            for b in (self.benchmarks if benchmarks is None else benchmarks)
+            for tag, config in configs.items()
+        ]
+
+    def named_cells(
+        self,
+        tags: Sequence[str],
+        benchmarks: Optional[Sequence[str]] = None,
+        **flags,
+    ) -> List[CellSpec]:
+        """:meth:`cells_for` the named configurations ``tags``."""
+        configs = {tag: get_config(tag) for tag in tags}
+        return self.cells_for(configs, benchmarks, **flags)
+
+    def results(
+        self, specs: Sequence[CellSpec]
+    ) -> Dict[Tuple[str, str], RunResult]:
+        """Each spec's result by (benchmark, tag), prefetched first and
+        then requested through :meth:`run_config`, the request funnel.
+
+        Once a compiled plan has simulated ``specs``, every request here
+        is a memo hit.
+        """
+        self.prefetch(specs)
+        return {
+            (spec.benchmark, spec.config_tag): self.run_config(
+                spec.benchmark,
+                spec.config,
+                spec.config_tag,
+                record_tlb_trace=spec.record_tlb_trace,
+                occupancy_override=spec.occupancy_override,
+                sample_every=(
+                    spec.telemetry.sample_every if spec.telemetry else None
+                ),
+            )
+            for spec in specs
+        }
+
+    def _resolve(self, spec: CellSpec) -> RunResult:
+        """The memoized outcome of ``spec``, simulating it if needed."""
+        cached = self._cached(spec)
+        if cached is not None:
+            return cached
+        spec = self._with_trace_part(spec)
+        try:
+            result = self._execute(spec)
+        except SimulationError as exc:
+            return self._integrate(spec, exc)
+        return self._integrate(spec, result)
+
+    def _with_trace_part(self, spec: CellSpec) -> CellSpec:
+        """``spec`` writing its trace to the next per-cell part file
+        (traced cells run one at a time, so the numbering is exact)."""
+        if spec.telemetry is None or spec.telemetry.trace_path is None:
+            return spec
+        part = f"{self.trace_path}.cell{len(self._trace_parts)}.part"
+        return dataclasses.replace(
+            spec,
+            telemetry=dataclasses.replace(spec.telemetry, trace_path=part),
+        )
+
     def _cached(self, spec: CellSpec) -> Optional[RunResult]:
         """The memoized outcome for ``spec``: its label's failure
         placeholder, else the result of any cell with its content."""
@@ -316,76 +396,77 @@ class ExperimentRunner:
     # ------------------------------------------------------------------ #
     # Parallel prefetch
     # ------------------------------------------------------------------ #
-    def prefetch(
-        self,
-        cells: Sequence[Tuple[str, str]],
-        record_tlb_trace: bool = False,
-    ) -> None:
-        """Simulate ``(benchmark, config_name)`` cells ahead of time,
-        fanned out over ``parallel`` supervised subprocess workers.
+    def prefetch(self, specs: Sequence[CellSpec]) -> None:
+        """Simulate ``specs`` ahead of their requests, fanned out over
+        ``parallel`` supervised subprocess workers.
 
-        Results are integrated into the memo (and checkpoint) in
+        Cells already memoized are skipped and content twins simulate
+        once.  Results are integrated into the memo (and checkpoint) in
         **submission order**, regardless of worker completion order, so
         a parallel sweep produces byte-identical bookkeeping to a
-        sequential one; subsequent :meth:`run` calls are memo hits.
-        Falls back to sequential execution when ``parallel <= 1``, when
-        only one cell is missing, or when per-cell tracing is on (trace
-        part numbering is inherently sequential).
+        sequential one; later requests for ``specs`` are memo hits.
+        Runs sequentially when ``parallel <= 1``, when at most one cell
+        is missing, or when per-cell tracing is on (trace part numbering
+        is inherently sequential).
 
         The parallel path always runs cells in supervised workers (the
         fan-out needs process isolation to actually run concurrently);
         the ``supervised`` flag only governs the sequential path.
         """
-        jobs: List[CellSpec] = []
-        seen = set()
-        for benchmark, config_name in cells:
-            spec = self._make_spec(
-                benchmark,
-                get_config(config_name),
-                config_name,
-                record_tlb_trace=record_tlb_trace,
-            )
-            if self._cached(spec) is not None or spec.content_key in seen:
+        started = time.monotonic()
+        pending: Dict[CellKey, CellSpec] = {}
+        for spec in specs:
+            self._planned.add(spec.content_key)
+            if self._cached(spec) is None:
+                pending.setdefault(spec.content_key, spec)
+        futures: Dict[CellKey, Future] = {}
+        if self.parallel > 1 and len(pending) > 1 and self.trace_path is None:
+            futures = self._fan_out(list(pending.values()))
+        # integrate in deterministic submission order (a strict sweep
+        # keeps the cells before the first failure, like a sequential
+        # one); a twin of a failed cell simulates on its own, in turn
+        for spec in specs:
+            if self._cached(spec) is not None:
                 continue
-            seen.add(spec.content_key)
-            jobs.append(spec)
-        if not jobs:
-            return
-        if self.parallel <= 1 or len(jobs) == 1 or self.trace_path is not None:
-            for spec in jobs:
-                self.run(spec.benchmark, spec.config_tag, record_tlb_trace)
-            return
-        # Workers are forked from a (briefly) multi-threaded parent;
-        # importing the worker-side modules here first means the children
-        # find sys.modules populated and never touch the import machinery
-        # mid-fork.
-        _preimport_worker_modules()
-        run_cell = self._supervisor.run_cell
-        with ThreadPoolExecutor(
-            max_workers=min(self.parallel, len(jobs))
-        ) as pool:
-            futures = [pool.submit(run_cell, spec) for spec in jobs]
-        # the pool has joined: every future is done; integrate in
-        # deterministic submission order (a strict sweep keeps the cells
-        # before the first failure, like a sequential one)
-        for spec, future in zip(jobs, futures):
+            future = futures.pop(spec.content_key, None)
+            if future is None:
+                self._resolve(spec)
+                continue
             try:
                 outcome = RunResult.from_dict(future.result())
             except SimulationError as exc:
                 outcome = exc
             self._integrate(spec, outcome)
+        self.plan_wall_s += time.monotonic() - started
+
+    def _fan_out(self, jobs: List[CellSpec]) -> Dict[CellKey, Future]:
+        """Run ``jobs`` on ``parallel`` supervised workers; returns each
+        job's finished future by content key."""
+        # Workers are forked from a (briefly) multi-threaded parent;
+        # importing the worker-side modules here first means the children
+        # find sys.modules populated and never touch the import machinery
+        # mid-fork.  Kernels generated here are inherited by every fork.
+        _preimport_worker_modules()
+        for spec in jobs:
+            try:
+                cached_benchmark(spec.benchmark, spec.scale, spec.seed)
+            except Exception:  # noqa: BLE001
+                pass  # the cell's own worker raises and classifies it
+        workers = min(self.parallel, len(jobs))
+        self.workers = max(self.workers, workers)
+        run_cell = self._supervisor.run_cell
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return {
+                spec.content_key: pool.submit(run_cell, spec) for spec in jobs
+            }
 
     def run_all(
         self, config_name: str, record_tlb_trace: bool = False
     ) -> Dict[str, RunResult]:
-        if self.parallel > 1:
-            self.prefetch(
-                [(b, config_name) for b in self.benchmarks], record_tlb_trace
-            )
-        return {
-            b: self.run(b, config_name, record_tlb_trace)
-            for b in self.benchmarks
-        }
+        specs = self.named_cells(
+            (config_name,), record_tlb_trace=record_tlb_trace
+        )
+        return {b: result for (b, _), result in self.results(specs).items()}
 
     # ------------------------------------------------------------------ #
     # Degradation bookkeeping
@@ -444,7 +525,12 @@ class ExperimentRunner:
             sample_every=self.sample_every,
             cells_simulated=self.cells_simulated,
             cells_restored=self.cells_restored,
+            cells_requested=self.cells_requested,
+            cells_planned=self.cells_planned,
+            kernels_generated=self.kernels_generated,
+            workers=self.workers,
             wall_time_s=time.monotonic() - self._started,
+            plan_wall_s=self.plan_wall_s,
         ).write()
 
     def close(self) -> None:
@@ -475,7 +561,7 @@ def _preimport_worker_modules() -> None:
     from ..sanitizer.core import Sanitizer  # noqa: F401
     from ..system import build_gpu  # noqa: F401
     from ..telemetry import TimeSeriesSampler, Tracer  # noqa: F401
-    from ..workloads import make_benchmark  # noqa: F401
+    from ..workloads import cached_benchmark  # noqa: F401
 
 
 # ---------------------------------------------------------------------- #

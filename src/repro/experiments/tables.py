@@ -14,7 +14,7 @@ from typing import Dict, List
 from ..arch.config import BASELINE_CONFIG, GPUConfig
 from ..engine.errors import SimulationError, classify
 from ..translation.address import KB
-from ..workloads import BENCHMARKS, TABLE2, make_benchmark, traced_footprint_gb
+from ..workloads import BENCHMARKS, TABLE2, cached_benchmark, traced_footprint_gb
 from .runner import ShapeCheck
 
 
@@ -72,7 +72,7 @@ def run_table2(
     for name in BENCHMARKS:
         try:
             footprints[name] = traced_footprint_gb(
-                make_benchmark(name, scale, seed)
+                cached_benchmark(name, scale, seed)
             )
         except SimulationError as exc:
             if strict:
@@ -152,3 +152,16 @@ def table3_checks(config: GPUConfig = BASELINE_CONFIG) -> List[ShapeCheck]:
         ),
     }
     return [ShapeCheck(desc, ok) for desc, ok in expected.items()]
+
+
+@dataclass(frozen=True)
+class Table3Result:
+    """Table III as a report section: a configuration and its checks."""
+
+    config: GPUConfig = BASELINE_CONFIG
+
+    def format_table(self) -> str:
+        return format_table3(self.config)
+
+    def shape_checks(self) -> List[ShapeCheck]:
+        return table3_checks(self.config)

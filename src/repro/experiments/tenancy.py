@@ -168,16 +168,25 @@ class TenancyExperimentResult:
         return checks
 
 
+def cells(
+    runner: ExperimentRunner,
+    config: GPUConfig = BASELINE_CONFIG,
+    mix: Tuple[str, ...] = REPORT_MIX,
+) -> List[CellSpec]:
+    """The solo baselines; the tenancy cells themselves run outside the
+    runner."""
+    # unique, order-preserving
+    return runner.cells_for({"baseline": config}, tuple(dict.fromkeys(mix)))
+
+
 def run(
     runner: ExperimentRunner,
     config: GPUConfig = BASELINE_CONFIG,
     mix: Tuple[str, ...] = REPORT_MIX,
 ) -> TenancyExperimentResult:
     """The report section: one mix, every partition mode, plus solos."""
-    solo_cycles: Dict[str, float] = {}
-    for benchmark in dict.fromkeys(mix):  # unique, order-preserving
-        solo = runner.run_config(benchmark, config, "baseline")
-        solo_cycles[benchmark] = solo.cycles
+    solos = runner.results(cells(runner, config, mix))
+    solo_cycles = {b: solo.cycles for (b, _), solo in solos.items()}
     results: Dict[str, TenancyResult] = {}
     failures: Dict[str, str] = {}
     for mode in PartitionMode:

@@ -15,8 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..engine.supervision import CellSpec
 from ..telemetry import interval_rate
 from .runner import ExperimentRunner, ShapeCheck, collect_failures, failed_rows
+
+#: the configurations compared over time
+CONFIGS = ("baseline", "partition_sharing")
 
 #: per-scale sampling interval (cycles) sized for ~20-200 samples/run
 SAMPLE_INTERVALS = {"micro": 500, "tiny": 500, "small": 2000, "paper": 10000}
@@ -135,15 +139,25 @@ class TimeSeriesResult:
         return checks
 
 
+def cells(runner: ExperimentRunner) -> List[CellSpec]:
+    """The first benchmark, sampled, under baseline and ours."""
+    return runner.named_cells(
+        CONFIGS,
+        benchmarks=runner.benchmarks[:1],
+        sample_every=SAMPLE_INTERVALS.get(runner.scale, 2000),
+    )
+
+
 def run(runner: ExperimentRunner) -> TimeSeriesResult:
+    results = runner.results(cells(runner))
     benchmark = runner.benchmarks[0]
     interval = SAMPLE_INTERVALS.get(runner.scale, 2000)
     rates: Dict[str, List[Optional[float]]] = {}
     cycles: Dict[str, float] = {}
     accesses: Dict[str, List[float]] = {}
     failures: Dict[str, str] = {}
-    for tag in ("baseline", "partition_sharing"):
-        result = runner.run(benchmark, tag, sample_every=interval)
+    for tag in CONFIGS:
+        result = results[benchmark, tag]
         if not collect_failures(failures, benchmark, result):
             continue
         if result.timeseries is None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from ..engine.supervision import CellSpec
 from ..translation.registry import ZOO_SPECS, default_registry
 from .runner import (
     ExperimentRunner,
@@ -113,24 +114,31 @@ class ZooResult:
         ]
 
 
+def cells(
+    runner: ExperimentRunner, benchmarks=ZOO_BENCHMARKS
+) -> List[CellSpec]:
+    registry = default_registry()
+    return runner.cells_for(
+        {name: registry.resolve(spec) for name, spec in ZOO_SPECS.items()},
+        benchmarks=[b for b in benchmarks if b in runner.benchmarks],
+    )
+
+
 def run(
     runner: ExperimentRunner, benchmarks=ZOO_BENCHMARKS
 ) -> ZooResult:
-    registry = default_registry()
+    results = runner.results(cells(runner, benchmarks))
     norm_time: Dict[str, Dict[str, float]] = {}
     hit_rate: Dict[str, Dict[str, float]] = {}
     failures: Dict[str, str] = {}
-    configs = {
-        name: registry.resolve(spec) for name, spec in ZOO_SPECS.items()
-    }
     for b in benchmarks:
         if b not in runner.benchmarks:
             continue
-        base = runner.run_config(b, configs["zoo_baseline"], "zoo_baseline")
+        base = results[b, "zoo_baseline"]
         if not collect_failures(failures, b, base):
             continue
-        for name, config in configs.items():
-            result = runner.run_config(b, config, name)
+        for name in ZOO_SPECS:
+            result = results[b, name]
             if not collect_failures(failures, b, result):
                 continue
             norm_time.setdefault(name, {})[b] = (

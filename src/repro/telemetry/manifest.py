@@ -26,7 +26,9 @@ MANIFEST_VERSION = 1
 _MANIFEST_KIND = "repro-manifest"
 
 #: provenance fields that legitimately differ between equal-seed runs
-WALL_TIME_FIELDS = ("created_unix", "created_iso", "wall_time_s", "git_sha")
+WALL_TIME_FIELDS = (
+    "created_unix", "created_iso", "wall_time_s", "plan_wall_s", "git_sha",
+)
 
 
 def config_hash(config: Any, tenancy: Optional[dict] = None) -> str:
@@ -93,12 +95,22 @@ class RunManifest:
     sample_every: Optional[int] = None
     cells_simulated: int = 0
     cells_restored: int = 0
+    #: cell requests, memo hits included
+    cells_requested: int = 0
+    #: distinct cells (by content) the run planned ahead of its requests
+    cells_planned: int = 0
+    #: kernels the process generated during the run (memo misses)
+    kernels_generated: int = 0
+    #: most supervised workers that simulated cells at once
+    workers: int = 1
     # --- wall-clock provenance (excluded from determinism checks) ----- #
     created_unix: float = field(default_factory=time.time)
     created_iso: str = field(
         default_factory=lambda: time.strftime("%Y-%m-%dT%H:%M:%S%z")
     )
     wall_time_s: float = 0.0
+    #: wall seconds spent simulating planned cells
+    plan_wall_s: float = 0.0
     git_sha: Optional[str] = field(default_factory=git_sha)
     python: str = field(
         default_factory=lambda: ".".join(map(str, sys.version_info[:3]))

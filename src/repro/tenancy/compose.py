@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List
 
 from ..arch.kernel import Kernel, MemoryInstruction, TBTrace, WarpTrace
-from ..workloads.registry import make_benchmark
+from ..workloads.registry import cached_benchmark
 from .tenant import ADDRESS_SPACE_BITS, TenancySpec, Tenant
 
 
@@ -63,7 +63,7 @@ def compose_tenants(spec: TenancySpec) -> List[Tenant]:
     """Build and relocate one kernel per tenant in ``spec.mix``."""
     tenants = []
     for asid, benchmark in enumerate(spec.mix):
-        kernel = make_benchmark(benchmark, scale=spec.scale, seed=spec.seed)
+        kernel = cached_benchmark(benchmark, spec.scale, spec.seed)
         tenants.append(
             Tenant(asid=asid, benchmark=benchmark,
                    kernel=relocate_kernel(kernel, asid))

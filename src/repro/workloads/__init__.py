@@ -8,7 +8,9 @@ from .polybench import MV_SPECS, make_3dconv, make_gemm, make_matvec
 from .registry import (
     BENCHMARKS,
     TABLE2,
+    KERNEL_MEMO_SIZE,
     BenchmarkMeta,
+    cached_benchmark,
     make_benchmark,
     register_benchmark,
     traced_footprint_bytes,
@@ -23,11 +25,13 @@ __all__ = [
     "BenchmarkMeta",
     "CSRGraph",
     "GRAPH_SPECS",
+    "KERNEL_MEMO_SIZE",
     "MV_SPECS",
     "SCALES",
     "Scale",
     "TABLE2",
     "TraceBuilder",
+    "cached_benchmark",
     "cached_power_law_graph",
     "generate_power_law_graph",
     "get_scale",

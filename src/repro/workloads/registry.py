@@ -8,6 +8,7 @@ generators' actual traced footprints.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
@@ -61,6 +62,50 @@ TABLE2: Dict[str, BenchmarkMeta] = {
 _FACTORIES: Dict[str, Callable[[str, int], Kernel]] = {}
 
 
+#: kernels :data:`cached_benchmark` keeps; the least recently used one
+#: is dropped first, so a long-lived process (the sweep daemon) stays
+#: bounded while a report's ten benchmarks all fit
+KERNEL_MEMO_SIZE = 16
+
+
+class KernelMemo:
+    """:func:`make_benchmark` memoized per (benchmark, scale, seed).
+
+    A kernel is a pure function of that triple and no run writes to it,
+    so every cell of a sweep can share one.  Supervised workers fork
+    from the parent and inherit whatever it already generated.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        #: kernels generated through the memo (its misses)
+        self.generated = 0
+        self._kernels: "OrderedDict[Tuple[str, str, int], Kernel]" = (
+            OrderedDict()
+        )
+
+    def __call__(self, name: str, scale: str, seed: int) -> Kernel:
+        key = (name, scale, seed)
+        kernel = self._kernels.pop(key, None)
+        if kernel is None:
+            # looked up as a module global at call time, so a wrapped
+            # make_benchmark (a profiler's counter) sees each generation
+            kernel = make_benchmark(name, scale=scale, seed=seed)
+            self.generated += 1
+        self._kernels[key] = kernel
+        while len(self._kernels) > self.size:
+            self._kernels.popitem(last=False)
+        return kernel
+
+    def forget(self, name: str) -> None:
+        """Drop ``name``'s kernels (its generator was re-registered)."""
+        for key in [key for key in self._kernels if key[0] == name]:
+            del self._kernels[key]
+
+
+cached_benchmark = KernelMemo(KERNEL_MEMO_SIZE)
+
+
 def register_benchmark(
     name: str,
     factory: Callable[[str, int], Kernel],
@@ -78,6 +123,7 @@ def register_benchmark(
             f"name or unregister_benchmark({name!r}) first"
         )
     _FACTORIES[name] = factory
+    cached_benchmark.forget(name)
     if meta is not None:
         TABLE2[name] = meta
 
@@ -85,6 +131,7 @@ def register_benchmark(
 def unregister_benchmark(name: str) -> None:
     """Remove a registered benchmark (no-op if absent)."""
     _FACTORIES.pop(name, None)
+    cached_benchmark.forget(name)
 
 
 for _name, _factory in (

@@ -95,7 +95,9 @@ def test_parallel_sweep_digest_matches_sequential():
 
     def digest(parallel):
         runner = ExperimentRunner(scale="micro", seed=0, parallel=parallel)
-        runner.prefetch(cells)
+        runner.prefetch(
+            [runner.named_cells((cfg,), (bench,))[0] for bench, cfg in cells]
+        )
         return {
             f"{bench}:{cfg}": json.dumps(
                 runner.run(bench, cfg).to_dict(), sort_keys=True

@@ -164,3 +164,22 @@ class TestGraphCache:
         with np.load(entry) as data:  # rewritten whole
             assert data["row_ptr"].shape[0] == int(data["num_nodes"]) + 1
         assert (tmp_path / (entry.name + ".invalid")).exists()
+
+
+@pytest.mark.parametrize("name", ["bfs", "gemm"])
+def test_runs_leave_kernel_unchanged(name):
+    """A run reads its kernel and never writes it, so one generated
+    kernel can serve every cell of a sweep."""
+    import hashlib
+
+    from repro.experiments.configs import get_config
+    from repro.system import build_gpu
+
+    def digest(kernel):
+        return hashlib.sha256(repr(list(kernel.addresses())).encode()).hexdigest()
+
+    kernel = make_benchmark(name, scale=SCALE)
+    before = digest(kernel)
+    for config in ("baseline", "partition_sharing", "mosaic", "huge_ours"):
+        build_gpu(get_config(config)).run(kernel)
+        assert digest(kernel) == before, config
