@@ -289,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("scale", nargs="?", default="small",
                         choices=sorted(SCALES))
     parser.add_argument("--write", action="store_true",
-                        help="write EXPERIMENTS.md")
+                        help="write EXPERIMENTS.md (refused for a "
+                             "restricted, reseeded or degraded run)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--timeout", type=float, default=None,
                         help="wall-clock seconds per cell (enables "
@@ -317,8 +318,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_write(reason: str) -> int:
+    print(f"refusing to write EXPERIMENTS.md: {reason}", file=sys.stderr)
+    return 2
+
+
 def main(argv: List[str]) -> int:
     args = build_parser().parse_args(argv)
+    # EXPERIMENTS.md is the gated record of the full default sweep, so
+    # --write refuses anything that would commit a partial one.
+    if args.write and args.benchmarks:
+        return _refuse_write("--benchmarks restricts the sweep")
+    if args.write and args.seed != 0:
+        return _refuse_write(f"--seed {args.seed} is not the recorded seed 0")
     if args.resume and not args.checkpoint:
         args.checkpoint = f".repro_checkpoint.{args.scale}.jsonl"
     reports, runner = run_all(
@@ -337,6 +349,8 @@ def main(argv: List[str]) -> int:
     text = render_markdown(reports, args.scale, runner)
     print(text)
     if args.write:
+        if degradation_summary(reports, runner):
+            return _refuse_write("the run is degraded (see the banner)")
         with open("EXPERIMENTS.md", "w") as handle:
             handle.write(text)
         manifest = runner.write_manifest("report", "EXPERIMENTS.md")

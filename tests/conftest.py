@@ -1,7 +1,8 @@
 """Shared fixtures for the test suite.
 
 Simulation tests default to the ``micro`` workload scale so the whole
-suite stays fast; experiment-level shape tests live in benchmarks/.
+suite stays fast; the paper's shape claims are checked at ``small``
+scale by the report that regenerates EXPERIMENTS.md.
 """
 
 import os
@@ -12,7 +13,7 @@ try:
     from hypothesis import HealthCheck, settings as _hyp_settings
 
     # CI runs property tests derandomized (fixed example stream) so a
-    # red bench-smoke job is reproducible locally; select with
+    # red perfbench-selftest job is reproducible locally; select with
     # REPRO_HYPOTHESIS_PROFILE=ci
     _hyp_settings.register_profile(
         "ci",

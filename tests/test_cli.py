@@ -96,6 +96,18 @@ class TestReportFlags:
         assert args.resume and args.strict
         assert args.benchmarks == ["nw", "bfs"]
 
+    def test_report_forwards_seed(self, monkeypatch):
+        from repro.experiments import report
+
+        forwarded = []
+        monkeypatch.setattr(report, "main",
+                            lambda argv: forwarded.append(argv) or 0)
+        assert main(["report", "--scale", "micro", "--seed", "3",
+                     "--parallel", "2", "--benchmarks", "nw"]) == 0
+        assert forwarded == [["micro", "--seed", "3", "--benchmarks", "nw",
+                              "--parallel", "2"]]
+        assert report.build_parser().parse_args(forwarded[0]).seed == 3
+
 
 class TestTelemetryFlags:
     """--trace / --sample-every and the trace subcommand."""

@@ -1,7 +1,8 @@
 """Smoke tests for the experiment harness (micro scale).
 
-Shape assertions live in benchmarks/ at the calibrated ``small`` scale;
-here we verify the machinery: caching, table formats, check plumbing.
+Shape claims are checked by the ``small``-scale report that regenerates
+EXPERIMENTS.md; here we verify the machinery: caching, table formats,
+check plumbing.
 """
 
 import pytest

@@ -61,3 +61,30 @@ class TestFullReportDegradation:
         rendered = report.render_markdown(reports, "micro", runner)
         assert "Degraded run" not in rendered
         assert report.degradation_summary(reports, runner) == []
+
+
+class TestWriteRefusesPartialRecord:
+    """``--write`` never commits a restricted, reseeded or degraded run."""
+
+    def test_restricted_sweep_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert report.main(["micro", "--benchmarks", "nw", "--write"]) == 2
+        assert "--benchmarks" in capsys.readouterr().err
+        assert not (tmp_path / "EXPERIMENTS.md").exists()
+
+    def test_reseeded_sweep_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert report.main(["micro", "--seed", "1", "--write"]) == 2
+        assert "--seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "EXPERIMENTS.md").exists()
+
+    def test_degraded_run_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_FAULT", "bfs:*:livelock")
+        # Table III and Fig 2 keep the full sweep cheap
+        monkeypatch.setattr(report, "SECTIONS", report.SECTIONS[1:3])
+        assert report.main(["micro", "--write"]) == 2
+        captured = capsys.readouterr()
+        assert "FAILED(livelock)" in captured.out
+        assert "degraded" in captured.err
+        assert not (tmp_path / "EXPERIMENTS.md").exists()

@@ -1,9 +1,9 @@
-"""Tests for report rendering and the bench-output -> EXPERIMENTS parser."""
+"""Tests for report rendering and the committed EXPERIMENTS.md record."""
 
-import runpy
+import os
+import re
 
-import pytest
-
+from repro.experiments import report
 from repro.experiments.report import ExperimentReport, render_markdown
 from repro.experiments.runner import ShapeCheck, summarize_checks
 
@@ -36,46 +36,34 @@ class TestReportRendering:
         assert summarize_checks(checks) == "1/2 shape criteria hold"
 
 
-SAMPLE_BENCH_OUTPUT = """
-============================= test session starts ==============================
-benchmarks/test_fig2.py
-=== Fig 2 (scale=small) ===
-benchmark   64-entry 256-entry
-bfs            0.300     0.600
-  [PASS] most benchmarks improve (n=1)
-  [FAIL] something else
-.
-=== Table III ===
-GPU config | 16 SMs
-  [PASS] 16 SMs
-============================= 2 passed in 1.00s ===============================
-"""
+class TestCommittedExperiments:
+    """EXPERIMENTS.md is ``report small --write`` output, not a hand edit."""
 
+    PATH = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "EXPERIMENTS.md",
+    )
 
-class TestBenchOutputParser:
-    @pytest.fixture()
-    def parser(self):
-        module = runpy.run_path("tools/bench_to_experiments.py")
-        return module
+    def text(self):
+        with open(self.PATH) as handle:
+            return handle.read()
 
-    def test_parse_sections(self, parser):
-        sections, scale = parser["parse"](SAMPLE_BENCH_OUTPUT)
-        assert scale == "small"
-        assert set(sections) == {"Fig 2", "Table III"}
-        assert sections["Fig 2"]["checks"] == [
-            ("PASS", "most benchmarks improve (n=1)"),
-            ("FAIL", "something else"),
+    def test_header_is_the_small_report_header(self):
+        header = render_markdown([], "small").split("**Overall:")[0]
+        assert self.text().startswith(header)
+
+    def test_one_heading_per_section_in_order(self):
+        headings = re.findall(r"^## (.+)$", self.text(), re.MULTILINE)
+        assert headings == [
+            f"{s.experiment_id} — {s.title}" for s in report.SECTIONS
         ]
-        # pytest progress dots are filtered out of tables
-        assert all(t.strip(".") for t in sections["Fig 2"]["table"])
 
-    def test_render_counts_pass_fail(self, parser):
-        sections, scale = parser["parse"](SAMPLE_BENCH_OUTPUT)
-        text = parser["render"](sections, scale, "sample.txt")
-        assert "2/3 shape checks hold" in text
-        assert "## Fig 2" in text
-        assert "## Table III" in text
-
-    def test_empty_input_handled(self, parser):
-        sections, _scale = parser["parse"]("no sections here")
-        assert sections == {}
+    def test_overall_line_counts_the_checks(self):
+        text = self.text()
+        passed, total = map(int, re.search(
+            r"^\*\*Overall: (\d+)/(\d+) shape checks hold\.\*\*$",
+            text, re.MULTILINE,
+        ).groups())
+        assert passed == len(re.findall(r"^- \[PASS\] ", text, re.MULTILINE))
+        assert total == len(re.findall(r"^- \[(?:PASS|FAIL)\] ", text,
+                                       re.MULTILINE))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.partitioned_tlb import TBIDIndexPolicy
 from repro.translation.compression import CompressedTLB
-from repro.translation.tlb import SetAssociativeTLB
+from repro.translation.tlb import SetAssociativeTLB, VPNIndexPolicy
 
 access_streams = st.lists(
     st.integers(min_value=0, max_value=2000), min_size=1, max_size=400
@@ -53,12 +53,17 @@ def test_compressed_ratio_one_matches_uncompressed(vpns):
 @settings(max_examples=40)
 def test_compression_never_reduces_hits(vpns):
     """With identity-contiguous mappings, coalescing strictly adds reach:
-    the compressed TLB's hit count must be >= the plain TLB's."""
-    plain = SetAssociativeTLB(64, 4, 1.0)
+    every hit of a plain TLB with the same region-granular set index is
+    also a compressed-TLB hit.  (Against the VPN-indexed baseline the
+    claim is false: [48, 50, 52, 54, 176, 48] fills one compressed set
+    and evicts 48, while the baseline spreads them over four sets.)"""
+    plain = SetAssociativeTLB(
+        64, 4, 1.0, policy=VPNIndexPolicy(16, granularity=8)
+    )
     compressed = CompressedTLB(64, 4, 1.0, max_ratio=8)
-    plain_hits = sum(run_stream(plain, vpns))
-    comp_hits = sum(run_stream(compressed, vpns))
-    assert comp_hits >= plain_hits
+    for plain_hit, comp_hit in zip(run_stream(plain, vpns),
+                                   run_stream(compressed, vpns)):
+        assert comp_hit or not plain_hit
 
 
 @given(access_streams, st.integers(min_value=1, max_value=16))
